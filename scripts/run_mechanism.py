@@ -24,19 +24,12 @@ import sys
 import time
 from pathlib import Path
 
-from lenreg.calibration import (
-    collect_predictions,
-    default_intervals,
-    ece,
-    entropy_profile,
-)
+from lenreg.calibration import default_intervals, evaluate
 from lenreg.corpus import build_vocab, encode, ingest
 from lenreg.encoder import preset_config
 from lenreg.losses import Mode, RegularizerConfig
 from lenreg.synthetic import MarkovSpec, generate_corpus
 from lenreg.trainer import preset_train_config, train
-
-from numpy.random import SeedSequence, default_rng
 
 SPEC = MarkovSpec(n_topics=64, per_topic=4, n_long=56, n_keys=8)
 MAXLEN = 128
@@ -53,22 +46,18 @@ def run_member(mode: Mode, seed: int, steps: int, tr, ev, vocab, beta: float) ->
         regularizer=RegularizerConfig(mode=mode, beta=beta),
     )
     result = train(model_cfg, train_cfg, tr, vocab, None)
-    intervals = default_intervals(MAXLEN)
-    profile = entropy_profile(
-        result.params, ev, vocab, intervals=intervals, per_interval_n=PER_INTERVAL_N,
-        rng=default_rng(SeedSequence(entropy=(seed, 41))))
-    predictions = collect_predictions(
-        result.params, ev, vocab, intervals=intervals, per_interval_n=PER_INTERVAL_N,
-        rng=default_rng(SeedSequence(entropy=(seed, 40))))
-    short_iv, _, long_iv = intervals
+    scored = evaluate(result.params, ev, vocab, default_intervals(MAXLEN),
+                      per_interval_n=PER_INTERVAL_N, seed=seed)
+    short_ent, _, long_ent = scored.profile.intervals
+    short_report, _, long_report = scored.reports
     return {
         "mode": mode.value,
         "seed": seed,
         "final_loss": result.history[-1].total,
-        "short_entropy": profile.intervals[0].mean,
-        "long_entropy": profile.intervals[2].mean,
-        "short_ece": ece(predictions[short_iv]).ece,
-        "long_ece": ece(predictions[long_iv]).ece,
+        "short_entropy": short_ent.mean,
+        "long_entropy": long_ent.mean,
+        "short_ece": short_report.ece,
+        "long_ece": long_report.ece,
     }
 
 

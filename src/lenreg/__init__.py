@@ -24,9 +24,10 @@ from .encoder import (
     param_count,
     preset_config,
 )
-from .checkpoint import load_checkpoint, load_params, save_checkpoint, save_params
+from .checkpoint import load_checkpoint, load_params, save_checkpoint
 from .corpus import MaskedBatch, TokenSequence, Vocab, build_vocab, ingest, load_corpus, mask_batch
-from .calibration import CalibrationReport, collect_predictions, default_intervals, ece, entropy_profile
+from .calibration import (CalibrationReport, Evaluation, collect_predictions, default_intervals,
+                          ece, entropy_profile, evaluate)
 from .trainer import NonFiniteLossError, TrainConfig, TrainResult, lr_at_step, train
 from .synthetic import MarkovSpec, generate_corpus, write_corpus
 
@@ -38,9 +39,10 @@ __all__ = [
     "length_ratio", "ls_l_alpha", "softmax",
     "ModelConfig", "ModelParams", "backward", "forward", "init_params", "param_count",
     "preset_config",
-    "load_checkpoint", "load_params", "save_checkpoint", "save_params",
+    "load_checkpoint", "load_params", "save_checkpoint",
     "MaskedBatch", "TokenSequence", "Vocab", "build_vocab", "ingest", "load_corpus", "mask_batch",
-    "CalibrationReport", "collect_predictions", "default_intervals", "ece", "entropy_profile",
+    "CalibrationReport", "Evaluation", "collect_predictions", "default_intervals", "ece",
+    "entropy_profile", "evaluate",
     "NonFiniteLossError", "TrainConfig", "TrainResult", "lr_at_step", "train",
     "MarkovSpec", "generate_corpus", "write_corpus",
     "__version__",

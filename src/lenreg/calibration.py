@@ -10,6 +10,10 @@ the mathematically exact ECE of its inputs rounded once.
 Length intervals follow the convention [lo, hi) for every interval except
 the last, which is closed. The defaults are [10,50), [50,200), [200,512] at
 maxlen 512, scaled proportionally (half-up rounding) for other maxlens.
+
+``evaluate`` is the one eval pass behind ``eval-ece``, ``compare`` and the
+mechanism study: predictions and entropies per interval, drawn from the
+seed streams ``(seed, 40)`` and ``(seed, 41)``.
 """
 
 from __future__ import annotations
@@ -25,12 +29,14 @@ import numpy as np
 
 from .corpus import TokenSequence, Vocab, mask_batch
 from .encoder import ModelParams, forward
+from .losses import log_softmax_entropy
 
 __all__ = [
     "FORMAT_VERSION", "PredictionSample", "CalibrationBin", "CalibrationReport",
-    "IntervalEntropy", "EntropyProfile", "ece", "default_intervals",
-    "interval_label", "collect_predictions", "entropy_profile",
-    "write_report_json", "write_report_csv", "write_reliability_csv",
+    "IntervalEntropy", "EntropyProfile", "Evaluation", "ece", "default_intervals",
+    "interval_label", "interval_labels", "collect_predictions", "entropy_profile",
+    "evaluate", "write_report_json", "write_report_csv", "write_reliability_csv",
+    "compare_row", "write_compare_csv", "write_compare_json",
 ]
 
 FORMAT_VERSION = 1
@@ -39,6 +45,10 @@ _CANONICAL_EDGES = (10, 50, 200, 512)
 _CANONICAL_MAXLEN = 512
 DEFAULT_BINS = 10
 DEFAULT_PER_INTERVAL_N = 1000
+
+# Seed-stream domains of the eval pass; the training loop uses 1-3.
+_DOMAIN_PRED = 40
+_DOMAIN_ENT = 41
 
 
 @dataclass(frozen=True)
@@ -125,6 +135,16 @@ def interval_label(lo: int, hi: int, closed: bool) -> str:
     return f"[{lo},{hi}]" if closed else f"[{lo},{hi})"
 
 
+def _with_closed(intervals) -> list[tuple[int, int, bool]]:
+    """(lo, hi, closed) per interval: only the last interval is closed."""
+    last = len(intervals) - 1
+    return [(lo, hi, i == last) for i, (lo, hi) in enumerate(intervals)]
+
+
+def interval_labels(intervals) -> list[str]:
+    return [interval_label(lo, hi, closed) for lo, hi, closed in _with_closed(intervals)]
+
+
 def _in_interval(length: int, lo: int, hi: int, closed: bool) -> bool:
     return lo <= length <= hi if closed else lo <= length < hi
 
@@ -146,33 +166,38 @@ def _eval_masked_positions(
     rng: np.random.Generator,
     batch_size: int = 64,
 ):
-    """Yield (probs float64 (N,V), labels (N,), lengths (N,)) per eval batch."""
+    """Yield (probs (N,V), entropies (N,), labels (N,), lengths (N,)) per eval batch."""
     for start in range(0, len(sequences), batch_size):
         chunk = sequences[start : start + batch_size]
         mb = mask_batch(chunk, vocab, rng, maxlen=params.config.maxlen)
         logits = forward(params, mb.ids, mb.pad_mask, head_positions=mb.mask_positions)
-        z = np.asarray(logits, dtype=np.float64)
-        z -= z.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        probs = np.exp(logp)
+        _, probs, ent = log_softmax_entropy(logits)
         labels = mb.labels[mb.mask_positions]
         row_seq = np.nonzero(mb.mask_positions)[0]
         lengths = mb.true_lengths[row_seq]
-        yield probs, labels, lengths
+        yield probs, ent, labels, lengths
 
 
-def _sample_interval_members(sequences, intervals, per_interval_n, rng):
-    members_per_interval = []
-    for idx, (lo, hi) in enumerate(intervals):
-        closed = idx == len(intervals) - 1
+def _interval_batches(params, sequences, vocab, intervals, per_interval_n, rng):
+    """Yield ((lo, hi, closed), eval batches) per interval.
+
+    All intervals draw their sequences from ``rng`` before any is masked.
+    """
+    if rng is None:
+        raise ValueError("eval sampling needs an rng stream")
+    intervals = _with_closed(_validate_intervals(
+        intervals if intervals is not None else default_intervals(params.config.maxlen)))
+    if per_interval_n < 1:
+        raise ValueError("per_interval_n must be positive")
+    chosen = []
+    for lo, hi, closed in intervals:
         members = [s for s in sequences if _in_interval(s.length, lo, hi, closed)]
-        if not members:
-            members_per_interval.append([])
-            continue
-        take = min(per_interval_n, len(members))
-        chosen = rng.choice(len(members), size=take, replace=False)
-        members_per_interval.append([members[int(j)] for j in chosen])
-    return members_per_interval
+        if members:
+            picks = rng.choice(len(members), size=min(per_interval_n, len(members)), replace=False)
+            members = [members[int(j)] for j in picks]
+        chosen.append(members)
+    for interval, members in zip(intervals, chosen):
+        yield interval, _eval_masked_positions(params, members, vocab, rng)
 
 
 def collect_predictions(
@@ -190,17 +215,11 @@ def collect_predictions(
     (confidence = max probability, correct = argmax hits the original id).
     Intervals with no matching sequence map to empty lists.
     """
-    if rng is None:
-        raise ValueError("collect_predictions needs an rng stream")
-    intervals = _validate_intervals(intervals if intervals is not None
-                                    else default_intervals(params.config.maxlen))
-    if per_interval_n < 1:
-        raise ValueError("per_interval_n must be positive")
     out: dict[tuple[int, int], list[PredictionSample]] = {}
-    members_per_interval = _sample_interval_members(sequences, intervals, per_interval_n, rng)
-    for (lo, hi), members in zip(intervals, members_per_interval):
+    for (lo, hi, _), batches in _interval_batches(params, sequences, vocab, intervals,
+                                                  per_interval_n, rng):
         samples: list[PredictionSample] = []
-        for probs, labels, lengths in _eval_masked_positions(params, members, vocab, rng):
+        for probs, _, labels, lengths in batches:
             conf = probs.max(axis=1)
             pred = probs.argmax(axis=1)
             for c, ok, ln in zip(conf, pred == labels, lengths):
@@ -233,19 +252,10 @@ def entropy_profile(
     rng: np.random.Generator | None = None,
 ) -> EntropyProfile:
     """Mean/std of masked-position prediction entropy per length interval."""
-    if rng is None:
-        raise ValueError("entropy_profile needs an rng stream")
-    intervals = _validate_intervals(intervals if intervals is not None
-                                    else default_intervals(params.config.maxlen))
-    members_per_interval = _sample_interval_members(sequences, intervals, per_interval_n, rng)
     rows = []
-    for idx, ((lo, hi), members) in enumerate(zip(intervals, members_per_interval)):
-        closed = idx == len(intervals) - 1
-        ents: list[np.ndarray] = []
-        for probs, _, _ in _eval_masked_positions(params, members, vocab, rng):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                plogp = np.where(probs > 0, probs * np.log(probs), 0.0)
-            ents.append(-plogp.sum(axis=1))
+    for (lo, hi, closed), batches in _interval_batches(params, sequences, vocab, intervals,
+                                                       per_interval_n, rng):
+        ents = [ent for _, ent, _, _ in batches]
         if ents:
             all_e = np.concatenate(ents)
             rows.append(IntervalEntropy(lo, hi, closed, int(all_e.size),
@@ -255,12 +265,40 @@ def entropy_profile(
     return EntropyProfile(tuple(rows))
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """One model scored per length interval; ``reports[i]`` is None when
+    interval i drew no prediction."""
+    intervals: list[tuple[int, int]]
+    labels: list[str]
+    predictions: dict[tuple[int, int], list[PredictionSample]]
+    reports: list[CalibrationReport | None]
+    profile: EntropyProfile
+
+
+def evaluate(params: ModelParams, sequences: list[TokenSequence], vocab: Vocab,
+             intervals=None, per_interval_n: int = DEFAULT_PER_INTERVAL_N,
+             n_bins: int = DEFAULT_BINS, seed: int = 0) -> Evaluation:
+    """Exact ECE and entropy profile per length interval for one model.
+
+    Predictions and entropies sample and mask independently, from the seed
+    streams (seed, 40) and (seed, 41).
+    """
+    intervals = _validate_intervals(intervals if intervals is not None
+                                    else default_intervals(params.config.maxlen))
+    labels = interval_labels(intervals)
+    rng_pred, rng_ent = (np.random.default_rng(np.random.SeedSequence(entropy=(seed, domain)))
+                         for domain in (_DOMAIN_PRED, _DOMAIN_ENT))
+    predictions = collect_predictions(params, sequences, vocab, intervals, per_interval_n, rng_pred)
+    profile = entropy_profile(params, sequences, vocab, intervals, per_interval_n, rng_ent)
+    reports = [ece(predictions[iv], n_bins, label) if predictions[iv] else None
+               for iv, label in zip(intervals, labels)]
+    return Evaluation(intervals, labels, predictions, reports, profile)
+
+
 def _interval_payload(intervals, reports, profile):
     payload = []
-    for idx, (lo, hi) in enumerate(intervals):
-        closed = idx == len(intervals) - 1
-        rep: CalibrationReport | None = reports[idx]
-        ent: IntervalEntropy = profile.intervals[idx]
+    for (lo, hi, closed), rep, ent in zip(_with_closed(intervals), reports, profile.intervals):
         payload.append({
             "label": interval_label(lo, hi, closed),
             "lo": lo, "hi": hi, "closed": closed,
@@ -293,12 +331,9 @@ def write_report_csv(path, intervals, reports, profile) -> None:
         w = csv.writer(fh)
         w.writerow(["format_version", "interval", "n_samples", "ece",
                     "entropy_count", "entropy_mean", "entropy_std"])
-        for idx, (lo, hi) in enumerate(intervals):
-            closed = idx == len(intervals) - 1
-            rep = reports[idx]
-            ent = profile.intervals[idx]
+        for label, rep, ent in zip(interval_labels(intervals), reports, profile.intervals):
             w.writerow([
-                FORMAT_VERSION, interval_label(lo, hi, closed),
+                FORMAT_VERSION, label,
                 rep.n if rep is not None else 0,
                 repr(rep.ece) if rep is not None else "",
                 ent.count,
@@ -312,12 +347,81 @@ def write_reliability_csv(path, intervals, reports) -> None:
         w = csv.writer(fh)
         w.writerow(["format_version", "interval", "bin_lo", "bin_hi",
                     "count", "mean_confidence", "accuracy"])
-        for idx, (lo, hi) in enumerate(intervals):
-            closed = idx == len(intervals) - 1
-            rep = reports[idx]
+        for label, rep in zip(interval_labels(intervals), reports):
             if rep is None:
                 continue
             for b in rep.bins:
-                w.writerow([FORMAT_VERSION, interval_label(lo, hi, closed),
+                w.writerow([FORMAT_VERSION, label,
                             repr(b.lo), repr(b.hi), b.count,
                             repr(b.mean_confidence), repr(b.accuracy)])
+
+
+def compare_row(mode: str, seed: int, final_loss: float, evaluation: Evaluation) -> dict:
+    """One ``compare`` member: its final loss, then ECE and mean entropy per interval."""
+    row: dict = {"mode": mode, "seed": seed, "final_loss": final_loss}
+    for label, rep, ent in zip(evaluation.labels, evaluation.reports, evaluation.profile.intervals):
+        row[f"ece {label}"] = rep.ece if rep else None
+        row[f"entropy {label}"] = ent.mean
+    return row
+
+
+def _compare_wins(modes, seeds, labels, rows) -> dict[str, dict[str, int]]:
+    # Per interval, a mode wins a seed when it attains that seed's minimum
+    # ECE among the modes that finished (ties award all).
+    wins = {m: {lb: 0 for lb in labels} for m in modes}
+    for s in seeds:
+        by_mode = {r["mode"]: r for r in rows if r is not None and r["seed"] == s}
+        for lb in labels:
+            values = {m: r[f"ece {lb}"] for m, r in by_mode.items() if r[f"ece {lb}"] is not None}
+            if not values:
+                continue
+            best = min(values.values())
+            for m, v in values.items():
+                if v == best:
+                    wins[m][lb] += 1
+    return wins
+
+
+def write_compare_csv(path, modes, seeds, intervals, rows) -> None:
+    """``rows`` holds one ``compare_row`` or None (failed) per member, mode-major."""
+    labels = interval_labels(intervals)
+    metric_cols = [f"ece {lb}" for lb in labels] + [f"entropy {lb}" for lb in labels]
+
+    def cells(row):
+        return [repr(row[c]) if row[c] is not None else "" for c in metric_cols]
+
+    wins = _compare_wins(modes, seeds, labels, rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["format_version", "mode", "seed", "final_loss"] + metric_cols)
+        # Block slicing (members are mode-major) keeps a mode listed twice
+        # from having its rows interleaved or written double.
+        for j, m in enumerate(modes):
+            block = rows[j * len(seeds):(j + 1) * len(seeds)]
+            finished = []
+            for s, row in zip(seeds, block):
+                if row is None:
+                    w.writerow([FORMAT_VERSION, m, s, "FAILED"] + [""] * len(metric_cols))
+                else:
+                    w.writerow([FORMAT_VERSION, m, s, repr(row["final_loss"])] + cells(row))
+                    finished.append(row)
+            if finished:  # aggregate row: across-seed means of each column
+                agg = {"final_loss": float(np.mean([r["final_loss"] for r in finished]))}
+                for col in metric_cols:
+                    vals = [r[col] for r in finished if r[col] is not None]
+                    agg[col] = float(np.mean(vals)) if vals else None
+                w.writerow([FORMAT_VERSION, m, "mean", repr(agg["final_loss"])] + cells(agg))
+        for m in modes:
+            w.writerow([FORMAT_VERSION, m, "wins", ""]
+                       + [wins[m][lb] for lb in labels] + [""] * len(labels))
+
+
+def write_compare_json(path, modes, seeds, intervals, rows, failures) -> None:
+    labels = interval_labels(intervals)
+    doc = {
+        "format_version": FORMAT_VERSION, "kind": "compare_report",
+        "modes": modes, "seeds": seeds, "intervals": labels,
+        "rows": [r for r in rows if r is not None],
+        "wins": _compare_wins(modes, seeds, labels, rows), "failures": failures,
+    }
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

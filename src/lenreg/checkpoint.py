@@ -23,7 +23,7 @@ import numpy as np
 
 from .encoder import ModelConfig, ModelParams, tensor_names
 
-__all__ = ["save_checkpoint", "load_checkpoint", "save_params", "load_params", "FORMAT_VERSION"]
+__all__ = ["save_checkpoint", "load_checkpoint", "load_params", "FORMAT_VERSION"]
 
 FORMAT_VERSION = 1
 _MAGIC = "lenreg-checkpoint"
@@ -120,11 +120,6 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict[str,
             .copy()
         )
     return config, tensors, extra
-
-
-def save_params(path, params: ModelParams, extra: dict[str, str] | None = None) -> None:
-    ordered = {name: params.tensors[name] for name in tensor_names(params.config)}
-    save_checkpoint(path, params.config, ordered, extra)
 
 
 def load_params(path) -> ModelParams:

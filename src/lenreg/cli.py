@@ -40,9 +40,6 @@ from .trainer import TRAIN_PRESETS, NonFiniteLossError
 
 MANIFEST_VERSION = 1
 
-_DOMAIN_EVAL_PRED = 40
-_DOMAIN_EVAL_ENT = 41
-
 
 class _Parser(argparse.ArgumentParser):
     # Usage errors are exit code 1; 2 is reserved for numeric aborts.
@@ -217,21 +214,9 @@ def cmd_eval_ece(args) -> int:
         raise ValueError(f"vocab size {vocab.size} does not match checkpoint "
                          f"({params.config.vocab_size})")
     sequences = corpus.load_corpus(args.corpus, vocab, params.config.maxlen)
-    intervals = (_parse_intervals(args.intervals) if args.intervals
-                 else calibration.default_intervals(params.config.maxlen))
-
-    rng_pred = np.random.default_rng(
-        np.random.SeedSequence(entropy=(args.seed, _DOMAIN_EVAL_PRED)))
-    rng_ent = np.random.default_rng(
-        np.random.SeedSequence(entropy=(args.seed, _DOMAIN_EVAL_ENT)))
-    predictions = calibration.collect_predictions(
-        params, sequences, vocab, intervals, args.n_per_interval, rng_pred)
-    profile = calibration.entropy_profile(
-        params, sequences, vocab, intervals, args.n_per_interval, rng_ent)
-    reports = [
-        calibration.ece(predictions[iv], args.bins) if predictions[iv] else None
-        for iv in intervals
-    ]
+    ev = calibration.evaluate(
+        params, sequences, vocab, _parse_intervals(args.intervals) if args.intervals else None,
+        args.n_per_interval, args.bins, args.seed)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -240,15 +225,13 @@ def cmd_eval_ece(args) -> int:
     rel_path = out_dir / "reliability.csv"
     meta = {"checkpoint": str(args.checkpoint), "corpus": str(args.corpus),
             "seed": args.seed, "n_bins": args.bins, "per_interval_n": args.n_per_interval}
-    calibration.write_report_json(json_path, intervals, reports, profile, meta)
-    calibration.write_report_csv(csv_path, intervals, reports, profile)
-    calibration.write_reliability_csv(rel_path, intervals, reports)
+    calibration.write_report_json(json_path, ev.intervals, ev.reports, ev.profile, meta)
+    calibration.write_report_csv(csv_path, ev.intervals, ev.reports, ev.profile)
+    calibration.write_reliability_csv(rel_path, ev.intervals, ev.reports)
     _write_manifest(out_dir, "eval-ece", meta, args.seed,
                     [args.checkpoint, args.corpus, args.vocab],
                     [json_path, csv_path, rel_path], t0, time.time())
-    for idx, iv in enumerate(intervals):
-        rep = reports[idx]
-        label = calibration.interval_label(*iv, idx == len(intervals) - 1)
+    for label, rep in zip(ev.labels, ev.reports):
         if rep is None:
             print(f"{label}: empty")
         else:
@@ -259,15 +242,10 @@ def cmd_eval_ece(args) -> int:
 def cmd_gradcheck(args) -> int:
     from . import gradcheck as gc
 
-    if args.flip_entropy_grad:  # test hook: an injected sign error must be caught
-        losses._ENTROPY_GRAD_SIGN = -1.0
-    try:
-        report = gc.run_suite(
-            preset=args.preset, loss_instances=args.loss_instances,
-            entries_per_tensor=args.entries_per_tensor, seed=args.seed,
-        )
-    finally:
-        losses._ENTROPY_GRAD_SIGN = 1.0
+    report = gc.run_suite(
+        preset=args.preset, loss_instances=args.loss_instances,
+        entries_per_tensor=args.entries_per_tensor, seed=args.seed,
+    )
     ok = True
     for row in report:
         status = "PASS" if row.max_rel_err <= row.tolerance else "FAIL"
@@ -280,8 +258,7 @@ def _compare_member(member_args) -> dict:
     (mode_name, seed, cfg_doc, train_doc_args, corpus_path, vocab_path,
      eval_path, out_dir, intervals, n_per_interval, bins) = member_args
     vocab = corpus.Vocab.load(vocab_path)
-    regularizer = losses.RegularizerConfig(mode=losses.Mode.parse(mode_name),
-                                           **cfg_doc.get("regularizer_overrides", {}))
+    regularizer = _resolve_regularizer(cfg_doc, argparse.Namespace(mode=mode_name))
     ns = argparse.Namespace(preset=train_doc_args.get("preset"),
                             seed=seed, steps=train_doc_args.get("steps"))
     train_cfg = _resolve_train_config(cfg_doc, ns, regularizer)
@@ -291,20 +268,9 @@ def _compare_member(member_args) -> dict:
     result = trainer.train(model_cfg, train_cfg, sequences, vocab, run_dir)
 
     eval_sequences = corpus.load_corpus(eval_path, vocab, model_cfg.maxlen)
-    rng_pred = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _DOMAIN_EVAL_PRED)))
-    rng_ent = np.random.default_rng(np.random.SeedSequence(entropy=(seed, _DOMAIN_EVAL_ENT)))
-    predictions = calibration.collect_predictions(
-        result.params, eval_sequences, vocab, intervals, n_per_interval, rng_pred)
-    profile = calibration.entropy_profile(
-        result.params, eval_sequences, vocab, intervals, n_per_interval, rng_ent)
-    row: dict = {"mode": mode_name, "seed": seed, "final_loss": result.history[-1].total}
-    for idx, iv in enumerate(intervals):
-        label = calibration.interval_label(*iv, idx == len(intervals) - 1)
-        rep = calibration.ece(predictions[iv], bins) if predictions[iv] else None
-        ent = profile.intervals[idx]
-        row[f"ece {label}"] = rep.ece if rep else None
-        row[f"entropy {label}"] = ent.mean
-    return row
+    ev = calibration.evaluate(result.params, eval_sequences, vocab, intervals,
+                              n_per_interval, bins, seed)
+    return calibration.compare_row(mode_name, seed, result.history[-1].total, ev)
 
 
 def cmd_compare(args) -> int:
@@ -344,64 +310,10 @@ def cmd_compare(args) -> int:
             except Exception as e:  # keep the table; note the failure
                 failures.append(f"{members[i][0]} seed {members[i][1]}: {e}")
 
-    labels = [calibration.interval_label(*iv, i == len(intervals) - 1)
-              for i, iv in enumerate(intervals)]
-    # Win counts: per interval, a mode wins a seed when it attains that
-    # seed's minimum ECE among the modes that finished (ties award all).
-    wins = {m: {lb: 0 for lb in labels} for m in modes}
-    for s in seeds:
-        by_mode = {r["mode"]: r for r in rows if r is not None and r["seed"] == s}
-        for lb in labels:
-            values = {m: r[f"ece {lb}"] for m, r in by_mode.items() if r[f"ece {lb}"] is not None}
-            if not values:
-                continue
-            best = min(values.values())
-            for m, v in values.items():
-                if v == best:
-                    wins[m][lb] += 1
-
     csv_path = out_dir / "compare.csv"
-    import csv as _csv
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh)
-        cols = ["format_version", "mode", "seed", "final_loss"]
-        cols += [f"ece {lb}" for lb in labels] + [f"entropy {lb}" for lb in labels]
-        w.writerow(cols)
-        def _metric_cells(row):
-            return ([repr(row[f"ece {lb}"]) if row[f"ece {lb}"] is not None else ""
-                     for lb in labels]
-                    + [repr(row[f"entropy {lb}"]) if row[f"entropy {lb}"] is not None else ""
-                       for lb in labels])
-
-        # Block slicing (members are mode-major) keeps a mode listed twice
-        # from having its rows interleaved or written double.
-        for j, m in enumerate(modes):
-            block = list(zip(members, rows))[j * len(seeds):(j + 1) * len(seeds)]
-            finished = []
-            for (_, s), row in block:
-                if row is None:
-                    w.writerow([calibration.FORMAT_VERSION, m, s, "FAILED"] + [""] * 2 * len(labels))
-                else:
-                    w.writerow([calibration.FORMAT_VERSION, m, s, repr(row["final_loss"])]
-                               + _metric_cells(row))
-                    finished.append(row)
-            if finished:  # aggregate row: across-seed means of each column
-                agg = {"final_loss": float(np.mean([r["final_loss"] for r in finished]))}
-                for col in [f"ece {lb}" for lb in labels] + [f"entropy {lb}" for lb in labels]:
-                    vals = [r[col] for r in finished if r[col] is not None]
-                    agg[col] = float(np.mean(vals)) if vals else None
-                w.writerow([calibration.FORMAT_VERSION, m, "mean", repr(agg["final_loss"])]
-                           + _metric_cells(agg))
-        for m in modes:
-            w.writerow([calibration.FORMAT_VERSION, m, "wins", ""]
-                       + [wins[m][lb] for lb in labels] + [""] * len(labels))
     json_path = out_dir / "compare.json"
-    json_path.write_text(json.dumps({
-        "format_version": calibration.FORMAT_VERSION, "kind": "compare_report",
-        "modes": modes, "seeds": seeds, "intervals": labels,
-        "rows": _jsonable([r for r in rows if r is not None]),
-        "wins": wins, "failures": failures,
-    }, indent=2) + "\n", encoding="utf-8")
+    calibration.write_compare_csv(csv_path, modes, seeds, intervals, rows)
+    calibration.write_compare_json(json_path, modes, seeds, intervals, rows, failures)
     _write_manifest(out_dir, "compare",
                     {"modes": modes, "seeds": seeds, "train": train_doc_args},
                     seeds, [corpus_path, vocab_path, eval_path],
@@ -466,8 +378,6 @@ def build_parser() -> _Parser:
     p.add_argument("--loss-instances", type=int, default=200)
     p.add_argument("--entries-per-tensor", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--_flip-entropy-grad", dest="flip_entropy_grad",
-                   action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("compare", help="train and evaluate several modes/seeds")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .encoder import ModelConfig, backward, forward, init_params, preset_config, tensor_names
-from .losses import Mode, RegularizerConfig, batch_loss, batch_loss_gradient
+from .losses import Mode, RegularizerConfig, batch_loss, batch_loss_gradient, hinge_margins
 
 LOSS_FD_STEP = 1e-5
 ENCODER_FD_STEP = 1e-4
@@ -40,6 +40,14 @@ class FamilyResult:
     max_rel_err: float
     tolerance: float
     n_checks: int
+
+
+def _merge(into: dict[str, FamilyResult], res: FamilyResult) -> None:
+    """Fold ``res`` into its family's entry: worst error, summed check count."""
+    prev = into.get(res.family)
+    into[res.family] = res if prev is None else FamilyResult(
+        res.family, max(prev.max_rel_err, res.max_rel_err), res.tolerance,
+        prev.n_checks + res.n_checks)
 
 
 def rel_err(a, b) -> float:
@@ -65,17 +73,6 @@ def _random_loss_instance(mode: Mode, rng: np.random.Generator):
     return logits, targets, config, r, maxlen
 
 
-def _hinge_margins(logits, config, r, maxlen):
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    p = np.exp(logp)
-    ent = -(p * logp).sum(axis=1)
-    r_eff = r
-    if config.mode is Mode.CP_AVG_L:
-        r_eff = min(1.0, config.avg_len / maxlen)
-    return config.beta * (1.0 - r_eff) - ent
-
-
 def fd_loss_grad(logits, targets, config, r, maxlen, step=LOSS_FD_STEP):
     """Central-difference gradient of the total loss in the logits."""
     base = np.asarray(logits, dtype=np.float64)
@@ -99,7 +96,7 @@ def check_loss_mode(mode: Mode, instances: int, seed: int = 0) -> FamilyResult:
     while made < instances:
         logits, targets, config, r, maxlen = _random_loss_instance(mode, rng)
         if mode in (Mode.CP_L, Mode.CP_AVG_L):
-            margins = _hinge_margins(logits, config, r, maxlen)
+            margins = hinge_margins(logits, config, r, maxlen)
             if np.abs(margins).min() < _KINK_MARGIN:
                 continue
             active_rows += int((margins > 0).sum())
@@ -161,7 +158,7 @@ def check_encoder(config: ModelConfig, entries_per_tensor: int | None,
     dlogits = batch_loss_gradient(logits, targets, loss_cfg, r)
     analytic = backward(params, cache, dlogits.astype(np.float64))
 
-    margins = _hinge_margins(np.asarray(logits, dtype=np.float64), loss_cfg, r, config.maxlen)
+    margins = hinge_margins(logits, loss_cfg, r, config.maxlen)
     if np.abs(margins).min() < _KINK_MARGIN:
         raise RuntimeError("audit batch sits on the hinge kink; reseed")
 
@@ -183,13 +180,7 @@ def check_encoder(config: ModelConfig, entries_per_tensor: int | None,
             tensor.flat[fi] = orig
             numeric[j] = (hi - lo) / (2.0 * ENCODER_FD_STEP)
         worst = rel_err(analytic[name].flat[flat_indices], numeric)
-        fam = _family_of(name)
-        prev = out.get(fam)
-        if prev is None:
-            out[fam] = FamilyResult(fam, worst, ENCODER_TOL, len(flat_indices))
-        else:
-            out[fam] = FamilyResult(fam, max(prev.max_rel_err, worst), ENCODER_TOL,
-                                    prev.n_checks + len(flat_indices))
+        _merge(out, FamilyResult(_family_of(name), worst, ENCODER_TOL, len(flat_indices)))
     return out
 
 
@@ -201,13 +192,7 @@ def run_suite(preset: str = "nano", loss_instances: int = 200,
     sampled_cfg = preset_config(preset, vocab_size=64, seed=seed + 11, dropout_p=0.0)
     sampled = check_encoder(sampled_cfg, entries_per_tensor, seed)
     merged: dict[str, FamilyResult] = {}
-    for run in (micro, sampled):
-        for fam, res in run.items():
-            prev = merged.get(fam)
-            if prev is None:
-                merged[fam] = res
-            else:
-                merged[fam] = FamilyResult(fam, max(prev.max_rel_err, res.max_rel_err),
-                                           res.tolerance, prev.n_checks + res.n_checks)
+    for res in [*micro.values(), *sampled.values()]:
+        _merge(merged, res)
     results.extend(merged[k] for k in sorted(merged))
     return results

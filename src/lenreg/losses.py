@@ -37,12 +37,10 @@ __all__ = [
     "ls_l_alpha",
     "batch_loss",
     "batch_loss_gradient",
+    "log_softmax_entropy",
+    "hinge_margins",
     "hinge_active_fraction",
 ]
-
-# Debug hook for mutation checks: gradcheck must catch a sign flip in the
-# entropy-gradient term. Never set outside tests / the hidden CLI flag.
-_ENTROPY_GRAD_SIGN = 1.0
 
 
 class Mode(enum.Enum):
@@ -194,25 +192,39 @@ def ls_l_alpha(T: float, r: float) -> float:
     return T * (1.0 - r) ** 2
 
 
-def _prepare(logits, targets):
+def log_softmax_entropy(logits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise ``(logp, p, H)`` in float64 for (N, V) logits.
+
+    The single log-softmax in the lab: losses, hinge telemetry and the
+    calibration evaluator all read probabilities and entropies from here.
+    """
     z = np.asarray(logits, dtype=np.float64)
-    t = np.asarray(targets)
     if z.ndim != 2 or z.shape[0] == 0 or z.shape[1] < 2:
         raise ValueError(f"expected (N, V) logits with N >= 1, V >= 2, got {z.shape}")
-    if t.shape != (z.shape[0],):
-        raise ValueError(f"targets shape {t.shape} does not match {z.shape[0]} positions")
-    if not np.issubdtype(t.dtype, np.integer):
-        raise ValueError("targets must be integers")
-    if np.any(t < 0) or np.any(t >= z.shape[1]):
-        raise IndexError("target id out of vocabulary range")
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
     shifted = z - z.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     p = np.exp(logp)
-    ent = -(p * logp).sum(axis=1)
-    ce = -logp[np.arange(z.shape[0]), t]
-    return z, t, logp, p, ent, ce
+    return logp, p, -(p * logp).sum(axis=1)
+
+
+def _prepare(logits, targets):
+    logp, p, ent = log_softmax_entropy(logits)
+    t = np.asarray(targets)
+    if t.shape != (logp.shape[0],):
+        raise ValueError(f"targets shape {t.shape} does not match {logp.shape[0]} positions")
+    if not np.issubdtype(t.dtype, np.integer):
+        raise ValueError("targets must be integers")
+    if np.any(t < 0) or np.any(t >= logp.shape[1]):
+        raise IndexError("target id out of vocabulary range")
+    ce = -logp[np.arange(logp.shape[0]), t]
+    return t, logp, p, ent, ce
+
+
+def _entropy_grad(logp: np.ndarray, p: np.ndarray, ent: np.ndarray) -> np.ndarray:
+    """dH/dz_k = -p_k*(ln p_k + H) for every position."""
+    return -p * (logp + ent[:, None])
 
 
 def _effective_ratio(config: RegularizerConfig, r: float, maxlen: int | None) -> float:
@@ -242,7 +254,7 @@ def batch_loss(
     total == ce_term + penalty_term, with penalty_term == 0 for mlm and
     penalty_term >= 0 for cp-l / cp-avg-l.
     """
-    _, t, logp, p, ent, ce = _prepare(logits, targets)
+    t, logp, p, ent, ce = _prepare(logits, targets)
     r_eff = _effective_ratio(config, r, maxlen)
     n = ce.shape[0]
     ce_term = float(ce.mean())
@@ -290,31 +302,37 @@ def batch_loss_gradient(
     Uses dH/dz_k = -p_k*(ln p_k + H) and d(CE)/dz = p - onehot(target); the
     hinge contributes nothing when inactive, with subgradient 0 at the kink.
     """
-    z, t, logp, p, ent, _ = _prepare(logits, targets)
+    t, logp, p, ent, _ = _prepare(logits, targets)
     r_eff = _effective_ratio(config, r, maxlen)
-    n = z.shape[0]
+    n, v = p.shape
     g_ce = p.copy()
     g_ce[np.arange(n), t] -= 1.0
-
-    # dH/dz for every position; rows are zeroed where the mode does not use it.
-    g_ent = -p * (logp + ent[:, None])
 
     mode = config.mode
     if mode is Mode.MLM:
         grad = g_ce
     elif mode in (Mode.LS, Mode.LS_L):
         alpha = config.alpha if mode is Mode.LS else ls_l_alpha(config.T, r_eff)
-        g_unif = p - 1.0 / z.shape[1]
+        g_unif = p - 1.0 / v
         grad = (1.0 - alpha) * g_ce + alpha * g_unif
     elif mode is Mode.CP:
-        grad = g_ce - config.beta * _ENTROPY_GRAD_SIGN * g_ent
+        grad = g_ce - config.beta * _entropy_grad(logp, p, ent)
     elif mode in (Mode.CP_L, Mode.CP_AVG_L):
         active = (config.beta * (1.0 - r_eff) - ent) > 0.0
-        grad = g_ce - (_ENTROPY_GRAD_SIGN * active[:, None]) * g_ent
+        grad = g_ce - active[:, None] * _entropy_grad(logp, p, ent)
     else:  # pragma: no cover - exhaustive over Mode
         raise ValueError(f"unhandled mode {mode}")
 
     return grad / n
+
+
+def hinge_margins(logits, config: RegularizerConfig, r: float, maxlen: int | None = None) -> np.ndarray:
+    """Per-position hinge argument beta*(1 - r) - H(p); the hinge is active where > 0.
+
+    ``r`` is replaced by the cp-avg-l ratio under that mode, as in the loss.
+    """
+    _, _, ent = log_softmax_entropy(logits)
+    return config.beta * (1.0 - _effective_ratio(config, r, maxlen)) - ent
 
 
 def hinge_active_fraction(logits, config: RegularizerConfig, r: float, *, maxlen: int | None = None) -> float:
@@ -324,12 +342,4 @@ def hinge_active_fraction(logits, config: RegularizerConfig, r: float, *, maxlen
     """
     if config.mode not in (Mode.CP_L, Mode.CP_AVG_L):
         return 0.0
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] == 0:
-        raise ValueError(f"expected (N, V) logits, got {z.shape}")
-    r_eff = _effective_ratio(config, r, maxlen)
-    shifted = z - z.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    p = np.exp(logp)
-    ent = -(p * logp).sum(axis=1)
-    return float(np.mean((config.beta * (1.0 - r_eff) - ent) > 0.0))
+    return float(np.mean(hinge_margins(logits, config, r, maxlen) > 0.0))

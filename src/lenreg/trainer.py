@@ -6,8 +6,9 @@ identical and two modes under one seed see identical data, masking, and
 dropout streams. The loss is evaluated only at masked positions; gradient
 contributions from unmasked positions are exactly zero by construction.
 
-A non-finite loss aborts training with a diagnostic dump of the offending
-batch rather than continuing on garbage.
+A non-finite loss or gradient norm aborts training, before AdamW touches
+the parameters, with a diagnostic dump of the offending batch rather than
+continuing on garbage.
 """
 
 from __future__ import annotations
@@ -120,12 +121,15 @@ def init_optim_state(params: ModelParams) -> OptimState:
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients by min(1, max_norm/||g||); returns the pre-clip norm."""
+    """Scale all gradients by min(1, max_norm/||g||); returns the pre-clip norm.
+
+    A non-finite norm leaves the gradients as they are; the caller aborts.
+    """
     sq = 0.0
     for g in grads.values():
         sq += float(np.dot(g.reshape(-1).astype(np.float64), g.reshape(-1).astype(np.float64)))
     norm = float(np.sqrt(sq))
-    if norm > max_norm:
+    if max_norm < norm < np.inf:
         scale = max_norm / norm
         for g in grads.values():
             g *= scale
@@ -242,6 +246,7 @@ def train(
     batch_in_epoch = 0
     try:
         for step in range(train_cfg.total_steps):
+            t0 = time.perf_counter()
             if not queue:
                 epoch += 1
                 order_rng = np.random.default_rng(
@@ -254,7 +259,6 @@ def train(
             batch_in_epoch += 1
             mb = mask_batch(chunk, vocab, mask_rng, maxlen=model_cfg.maxlen)
 
-            t0 = time.perf_counter()
             logits, cache = forward(
                 params, mb.ids, mb.pad_mask, train=True, rng=dropout_rng,
                 head_positions=mb.mask_positions, return_cache=True,
@@ -265,16 +269,14 @@ def train(
                     raise FloatingPointError("non-finite logits")
                 breakdown = batch_loss(logits, targets, reg, mb.ratio_r, maxlen=model_cfg.maxlen)
             except FloatingPointError as e:
-                dump = _dump_batch(out_path, step, mb)
-                raise NonFiniteLossError(
-                    f"{e} at step {step} (batch dump: {dump})",
-                    step=step, dump_path=dump,
-                ) from e
+                raise _abort(str(e), out_path, step, mb) from e
             hinge_frac = hinge_active_fraction(logits, reg, mb.ratio_r, maxlen=model_cfg.maxlen)
             dlogits = batch_loss_gradient(logits, targets, reg, mb.ratio_r,
                                           maxlen=model_cfg.maxlen).astype(params.dtype)
             grads = backward(params, cache, dlogits)
-            clip_global_norm(grads, train_cfg.grad_clip)
+            grad_norm = clip_global_norm(grads, train_cfg.grad_clip)
+            if not np.isfinite(grad_norm):
+                raise _abort(f"non-finite gradient norm {grad_norm}", out_path, step, mb)
             lr = lr_at_step(step, train_cfg)
             adamw_step(params, grads, state, train_cfg, lr)
             wall_ms = (time.perf_counter() - t0) * 1e3
@@ -310,7 +312,8 @@ def train(
     )
 
 
-def _dump_batch(out_path: Path | None, step: int, mb) -> str:
+def _abort(reason: str, out_path: Path | None, step: int, mb) -> NonFiniteLossError:
+    """Dump the batch of ``step`` and build the error that stops training."""
     target_dir = out_path if out_path is not None else Path(tempfile.gettempdir())
     target_dir.mkdir(parents=True, exist_ok=True)
     dump = target_dir / f"diagnostic_step{step}.npz"
@@ -319,4 +322,5 @@ def _dump_batch(out_path: Path | None, step: int, mb) -> str:
         labels=mb.labels, true_lengths=mb.true_lengths,
         ratio_r=np.asarray(mb.ratio_r), step=np.asarray(step),
     )
-    return str(dump)
+    return NonFiniteLossError(f"{reason} at step {step} (batch dump: {dump})",
+                              step=step, dump_path=str(dump))

@@ -12,13 +12,7 @@ import time
 import numpy as np
 
 from lenreg import gradcheck
-from lenreg.calibration import (
-    PredictionSample,
-    collect_predictions,
-    default_intervals,
-    ece,
-    entropy_profile,
-)
+from lenreg.calibration import PredictionSample, default_intervals, ece, evaluate
 from lenreg.checkpoint import load_params
 from lenreg.corpus import MASK_ID, build_vocab, encode, group_by_length, ingest, mask_batch
 from lenreg.encoder import forward, preset_config, tensor_names
@@ -252,13 +246,10 @@ def _mechanism_metrics(mode, seed, tr_seqs, ev_seqs, vocab, **reg_kw):
         total_steps=2000, warmup_steps=100, peak_lr=1e-3, log_every=2000,
         regularizer=RegularizerConfig(mode=mode, **reg_kw))
     res = train(mc, tc, tr_seqs, vocab, None)
-    intervals = default_intervals(128)
-    prof = entropy_profile(res.params, ev_seqs, vocab, intervals=intervals,
-                           per_interval_n=200, rng=rng_of(seed, 41))
-    preds = collect_predictions(res.params, ev_seqs, vocab, intervals=intervals,
-                                per_interval_n=200, rng=rng_of(seed, 40))
-    short_iv, _, long_iv = intervals
-    return (prof.intervals[0].mean, prof.intervals[2].mean, ece(preds[short_iv]).ece)
+    scored = evaluate(res.params, ev_seqs, vocab, default_intervals(128),
+                      per_interval_n=200, seed=seed)
+    short_ent, _, long_ent = scored.profile.intervals
+    return (short_ent.mean, long_ent.mean, scored.reports[0].ece)
 
 
 def test_c08_mechanism_directional_wins():

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from lenreg import cli
+from lenreg import cli, losses, trainer
 from lenreg.corpus import build_vocab, ingest
 
 
@@ -215,10 +215,12 @@ def test_gradcheck_passes_and_prints_families(capsys):
     assert "FAIL" not in out
 
 
-def test_gradcheck_catches_injected_sign_flip(capsys):
+def test_gradcheck_catches_injected_sign_flip(monkeypatch, capsys):
+    # A sign error in dH/dz reaches every entropy mode (cp, cp-l, cp-avg-l).
+    entropy_grad = losses._entropy_grad
+    monkeypatch.setattr(losses, "_entropy_grad", lambda *a: -entropy_grad(*a))
     rc = cli.main(["gradcheck", "--loss-instances", "30",
-                   "--entries-per-tensor", "2", "--seed", "1",
-                   "--_flip-entropy-grad"])
+                   "--entries-per-tensor", "2", "--seed", "1"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -294,6 +296,28 @@ def test_compare_duplicate_mode_rows_identical(workdir, tmp_path, monkeypatch, c
     assert len(rows) == 7
     assert rows[1] == rows[3] and rows[2] == rows[4]
     assert rows[5] == rows[6]
+
+
+def test_compare_honours_regularizer_section(workdir, tmp_path, monkeypatch, capsys):
+    cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+    cfg["regularizer"] = {"mode": "cp-l", "beta": 6}
+    path = tmp_path / "beta6.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    seen = []
+    real_train = trainer.train
+
+    def spy(model_cfg, train_cfg, *args, **kwargs):
+        seen.append(train_cfg.regularizer)
+        return real_train(model_cfg, train_cfg, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train", spy)
+    rc = cli.main(["compare", "--config", str(path), "--modes", "mlm,cp-l",
+                   "--seeds", "1", "--steps", "2", "--intervals", "3:8,8:16",
+                   "--n-per-interval", "5", "--bins", "5", "--out", str(tmp_path / "cmp")])
+    assert rc == 0
+    capsys.readouterr()
+    assert sorted(r.mode.value for r in seen) == ["cp-l", "mlm"]  # --modes beats the file
+    assert all(r.beta == 6.0 for r in seen)
 
 
 def test_compare_single_mode_is_exit_1(workdir, tmp_path, capsys):

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
 
+from lenreg import trainer
 from lenreg.checkpoint import load_checkpoint, load_params
 from lenreg.corpus import build_vocab, encode
 from lenreg.encoder import forward, init_params, preset_config, tensor_names
@@ -246,6 +248,40 @@ def test_train_aborts_on_nonfinite_loss(toy_setup, tmp_path):
     dump = np.load(err.dump_path)
     assert int(dump["step"]) == err.step
     assert dump["ids"].ndim == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_aborts_on_nonfinite_gradient_before_update(toy_setup, tmp_path, monkeypatch, bad):
+    _, vocab, seqs, mc = toy_setup
+    real_backward = trainer.backward
+    calls = []
+
+    def poisoned(params, cache, dlogits):
+        grads = real_backward(params, cache, dlogits)
+        if len(calls) == 2:
+            grads["tok_emb"][0, 0] = bad
+        calls.append(1)
+        return grads
+
+    monkeypatch.setattr(trainer, "backward", poisoned)
+    with pytest.raises(NonFiniteLossError) as exc:
+        train(mc, _tiny_cfg(total_steps=6, warmup_steps=1), seqs, vocab, tmp_path)
+    assert exc.value.step == 2
+    assert "gradient norm" in str(exc.value)
+    assert int(np.load(exc.value.dump_path)["step"]) == 2
+
+
+def test_wall_ms_covers_masking(toy_setup, monkeypatch):
+    _, vocab, seqs, mc = toy_setup
+    real_mask_batch = trainer.mask_batch
+
+    def slow_mask_batch(*args, **kwargs):
+        time.sleep(0.02)
+        return real_mask_batch(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "mask_batch", slow_mask_batch)
+    res = train(mc, _tiny_cfg(total_steps=3, warmup_steps=1), seqs, vocab)
+    assert all(r.wall_ms >= 20.0 for r in res.history)
 
 
 def test_hinge_fraction_zero_at_fresh_model(toy_setup):
