@@ -12,11 +12,19 @@ Layout of a ``.ckpt`` file:
 Tensors are stored and reloaded as float32; a save/load round trip of
 float32 parameters is bitwise exact. Optimizer moments ride in the same
 container under ``adam_m.`` / ``adam_v.`` name prefixes.
+
+A save writes a temporary file next to the target and renames it into
+place, so a reader never sees a half-written checkpoint under the target
+name. A load rejects a manifest that names a field, extra or tensor twice,
+a tensor that runs past the payload, and payload bytes after the last
+tensor.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +43,13 @@ def _format_value(v) -> str:
     return repr(float(v)) if isinstance(v, float) else str(v)
 
 
+def _check_token(kind: str, text: str) -> None:
+    # The loader splits manifest lines on whitespace: anything else would not
+    # read back as written.
+    if not text or any(c.isspace() for c in text):
+        raise ValueError(f"{kind} must be a non-empty token without whitespace: {text!r}")
+
+
 def save_checkpoint(
     path,
     config: ModelConfig,
@@ -45,14 +60,15 @@ def save_checkpoint(
     for f in dataclasses.fields(config):
         lines.append(f"field {f.name} {_format_value(getattr(config, f.name))}")
     for k, v in (extra or {}).items():
-        if " " in k or "\n" in str(v):
-            raise ValueError(f"extra key/value must be space-free tokens: {k!r}")
+        _check_token("extra key", k)
+        _check_token("extra value", str(v))
         lines.append(f"extra {k} {v}")
     blobs = []
     offset = 0
     for name, arr in tensors.items():
-        if " " in name:
-            raise ValueError(f"tensor name must not contain spaces: {name!r}")
+        _check_token("tensor name", name)
+        if np.ndim(arr) == 0:
+            raise ValueError(f"tensor {name!r} must have at least one dimension")
         raw = np.ascontiguousarray(arr, dtype="<f4")
         shape = ",".join(str(d) for d in raw.shape)
         lines.append(f"tensor {name} {offset} {shape}")
@@ -61,16 +77,32 @@ def save_checkpoint(
     lines.append("end")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        for blob in blobs:
-            fh.write(blob)
+    # Same directory, so os.replace is a rename; open() keeps the umask mode
+    # that mkstemp's 0600 would not. No fsync: a file torn by a power loss
+    # fails the loader's length checks, and on some disks deleting an
+    # fsynced file takes ~170 ms, which repeated runs would pay each time.
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict[str, str]]:
     fields: dict[str, str] = {}
     extra: dict[str, str] = {}
-    table: list[tuple[str, int, tuple[int, ...]]] = []
+    table: dict[str, tuple[int, tuple[int, ...]]] = {}
+
+    def put(entries: dict, kind: str, key: str, value) -> None:
+        if key in entries:
+            raise ValueError(f"{path}: duplicate {kind} {key!r} in manifest")
+        entries[key] = value
+
     with open(path, "rb") as fh:
         first = fh.readline().decode("ascii", errors="replace").split()
         if len(first) != 2 or first[0] != _MAGIC:
@@ -88,14 +120,14 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict[str,
                 raise ValueError(f"{path}: malformed manifest line {line!r}")
             kind = parts[0]
             if kind == "field":
-                fields[parts[1]] = parts[2]
+                put(fields, "field", parts[1], parts[2])
             elif kind == "extra":
-                extra[parts[1]] = parts[2]
+                put(extra, "extra", parts[1], parts[2])
             elif kind == "tensor":
                 if len(parts) != 4:
                     raise ValueError(f"{path}: malformed tensor line {line!r}")
-                shape = tuple(int(d) for d in parts[3].split(",")) if parts[3] else ()
-                table.append((parts[1], int(parts[2]), shape))
+                shape = tuple(int(d) for d in parts[3].split(","))
+                put(table, "tensor", parts[1], (int(parts[2]), shape))
             else:
                 raise ValueError(f"{path}: unknown manifest entry {kind!r}")
         payload = fh.read()
@@ -109,16 +141,21 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], dict[str,
     config = ModelConfig(**kwargs)
 
     tensors: dict[str, np.ndarray] = {}
-    for name, offset, shape in table:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    payload_end = 0
+    for name, (offset, shape) in table.items():
+        count = int(np.prod(shape, dtype=np.int64))
         end = offset + 4 * count
         if offset < 0 or end > len(payload):
             raise ValueError(f"{path}: tensor {name} extends past payload end")
+        payload_end = max(payload_end, end)
         tensors[name] = (
             np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
             .reshape(shape)
             .copy()
         )
+    if len(payload) != payload_end:
+        raise ValueError(f"{path}: {len(payload) - payload_end} trailing payload bytes "
+                         "after the last tensor")
     return config, tensors, extra
 
 

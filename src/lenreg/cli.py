@@ -11,7 +11,9 @@ Subcommands:
 
 Every command that writes into an --out directory also writes exactly one
 ``manifest.json`` there (resolved config, seed, input/output hashes, wall
-clock). Exit codes: 0 success, 1 usage or input error, 2 numeric abort
+clock); ``compare`` also writes one into each member's ``{mode}_seed{seed}``
+directory with that member's resolved model, train and regularizer config.
+Exit codes: 0 success, 1 usage or input error, 2 numeric abort
 during training, 3 comparison finished with failed members.
 
 ``LENREG_THREADS`` bounds worker parallelism in ``compare`` (default 1).
@@ -257,6 +259,7 @@ def cmd_gradcheck(args) -> int:
 def _compare_member(member_args) -> dict:
     (mode_name, seed, cfg_doc, train_doc_args, corpus_path, vocab_path,
      eval_path, out_dir, intervals, n_per_interval, bins) = member_args
+    t0 = time.time()
     vocab = corpus.Vocab.load(vocab_path)
     regularizer = _resolve_regularizer(cfg_doc, argparse.Namespace(mode=mode_name))
     ns = argparse.Namespace(preset=train_doc_args.get("preset"),
@@ -270,6 +273,14 @@ def _compare_member(member_args) -> dict:
     eval_sequences = corpus.load_corpus(eval_path, vocab, model_cfg.maxlen)
     ev = calibration.evaluate(result.params, eval_sequences, vocab, intervals,
                               n_per_interval, bins, seed)
+    _write_manifest(
+        run_dir, "compare-member",
+        {"model": model_cfg, "train": train_cfg, "regularizer": result.regularizer,
+         "eval": {"intervals": intervals, "per_interval_n": n_per_interval,
+                  "n_bins": bins, "seed": seed}},
+        seed, [corpus_path, vocab_path, eval_path],
+        [result.checkpoint_path, result.log_path], t0, time.time(),
+    )
     return calibration.compare_row(mode_name, seed, result.history[-1].total, ev)
 
 

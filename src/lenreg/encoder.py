@@ -177,12 +177,17 @@ def init_params(config: ModelConfig, dtype=np.float32) -> ModelParams:
     return ModelParams(config, tensors)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return x * (0.5 * (1.0 + special.erf(x / _SQRT2)))
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (erf) GELU, x * Phi(x), and the standard normal CDF Phi(x).
 
-
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
+    ``forward`` caches Phi so that ``backward`` needs no second ``erf``.
+    """
     cdf = 0.5 * (1.0 + special.erf(x / _SQRT2))
+    return x * cdf, cdf
+
+
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """GELU'(x) = Phi(x) + x * phi(x), with Phi(x) as returned by ``_gelu``."""
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
     return cdf + x * pdf
 
@@ -226,6 +231,7 @@ class ForwardCache:
     layers: list
     head_in: np.ndarray
     head_pre: np.ndarray
+    head_cdf: np.ndarray
     head_ln: tuple
     head_normed: np.ndarray
 
@@ -308,8 +314,9 @@ def forward(
 
         x1_2d = x1.reshape(b * s, -1)
         u = x1_2d @ t[pfx + "ffn_w1"] + t[pfx + "ffn_b1"]
-        hact = _gelu(u)
+        hact, u_cdf = _gelu(u)
         f = hact @ t[pfx + "ffn_w2"] + t[pfx + "ffn_b2"]
+        del hact  # backward rebuilds it from u and u_cdf
         if dropping:
             f, ffn_drop = _dropout(f, p_drop, rng)
         else:
@@ -319,7 +326,7 @@ def forward(
         layer_caches.append(dict(
             x_in=x_in, q=q, k=k, v=v, attn=attn, attn_used=attn_used,
             attn_drop=attn_drop, ctx=ctx, proj_drop=proj_drop, ln1=ln1,
-            x1=x1, u=u, hact=hact, ffn_drop=ffn_drop, ln2=ln2,
+            x1=x1, u=u, u_cdf=u_cdf, ffn_drop=ffn_drop, ln2=ln2,
         ))
         x = x2
 
@@ -331,7 +338,7 @@ def forward(
     else:
         head_in = x.reshape(b * s, -1)
     head_pre = head_in @ t["head_w"] + t["head_b"]
-    head_act = _gelu(head_pre)
+    head_act, head_cdf = _gelu(head_pre)
     head_normed, head_ln = _ln_forward(head_act, t["head_ln_g"], t["head_ln_b"], cfg.layernorm_eps)
     logits = head_normed @ t["tok_emb"].T + t["out_bias"]
     if head_positions is None:
@@ -343,7 +350,7 @@ def forward(
         params=params, token_ids=ids, pad_mask=pad_mask,
         head_positions=head_positions, train=dropping,
         emb_ln=emb_ln, emb_drop=emb_drop,
-        layers=layer_caches, head_in=head_in, head_pre=head_pre,
+        layers=layer_caches, head_in=head_in, head_pre=head_pre, head_cdf=head_cdf,
         head_ln=head_ln, head_normed=head_normed,
     )
     return logits, cache
@@ -386,7 +393,7 @@ def backward(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray) -> d
     dhead_normed = dl @ t["tok_emb"]
     dhead_act, dg, db = _ln_backward(dhead_normed, t["head_ln_g"], cache.head_ln)
     grads["head_ln_g"], grads["head_ln_b"] = dg, db
-    dhead_pre = dhead_act * _gelu_grad(cache.head_pre)
+    dhead_pre = dhead_act * _gelu_grad(cache.head_pre, cache.head_cdf)
     grads["head_w"] = cache.head_in.T @ dhead_pre
     grads["head_b"] = dhead_pre.sum(axis=0)
     dhead_in = dhead_pre @ t["head_w"].T
@@ -405,10 +412,11 @@ def backward(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray) -> d
         df = dsum2.reshape(b * s, -1)
         if lc["ffn_drop"] is not None:
             df = df * (lc["ffn_drop"] * drop_scale)
-        grads[pfx + "ffn_w2"] = lc["hact"].T @ df
+        # GELU(u) rebuilt with _gelu's own operands and op, so bitwise its output.
+        grads[pfx + "ffn_w2"] = (lc["u"] * lc["u_cdf"]).T @ df
         grads[pfx + "ffn_b2"] = df.sum(axis=0)
         dh = df @ t[pfx + "ffn_w2"].T
-        du = dh * _gelu_grad(lc["u"])
+        du = dh * _gelu_grad(lc["u"], lc["u_cdf"])
         x1_2d = lc["x1"].reshape(b * s, -1)
         grads[pfx + "ffn_w1"] = x1_2d.T @ du
         grads[pfx + "ffn_b1"] = du.sum(axis=0)

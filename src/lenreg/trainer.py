@@ -181,6 +181,8 @@ class TrainLogRecord:
     ratio_r: float
     masked_count: int
     hinge_active_fraction: float
+    grad_norm: float  # global L2 norm before clipping
+    clipped: bool  # grad_norm > grad_clip, so the update was scaled down
     wall_ms: float
 
 
@@ -285,7 +287,8 @@ def train(
                 step=step, lr=lr, total=breakdown.total, ce_term=breakdown.ce_term,
                 penalty_term=breakdown.penalty_term, entropy_mean=breakdown.entropy_mean,
                 ratio_r=breakdown.ratio_r, masked_count=int(targets.shape[0]),
-                hinge_active_fraction=hinge_frac, wall_ms=wall_ms,
+                hinge_active_fraction=hinge_frac, grad_norm=grad_norm,
+                clipped=grad_norm > train_cfg.grad_clip, wall_ms=wall_ms,
             )
             history.append(record)
             if log_fh is not None and (

@@ -2,7 +2,8 @@
 
 Criteria 7 and 8 train full nano models on the bundled and generated
 corpora, so this file dominates the suite's wall clock (tens of minutes);
-everything else finishes in about a minute combined.
+everything else finishes in about a minute combined. Both carry the
+``slow`` marker, so ``pytest -m "not slow"`` leaves them out.
 """
 
 import dataclasses
@@ -10,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from lenreg import gradcheck
 from lenreg.calibration import PredictionSample, default_intervals, ece, evaluate
@@ -212,6 +214,7 @@ def test_c06_length_bucketing_halves_padding(skew_sequences):
 #    seed 42. The mean loss over the final 100 steps must reach 0.7x the
 #    mean over the 100-step window starting at step 100, inside 30 minutes,
 #    and a same-seed repeat must be bitwise identical.
+@pytest.mark.slow
 def test_c07_desk_scale_training_progress(markov_sequences, markov_vocab):
     mc = preset_config("nano", vocab_size=markov_vocab.size, seed=42)
     tc = preset_train_config("nano", seed=42)
@@ -252,6 +255,7 @@ def _mechanism_metrics(mode, seed, tr_seqs, ev_seqs, vocab, **reg_kw):
     return (short_ent.mean, long_ent.mean, scored.reports[0].ece)
 
 
+@pytest.mark.slow
 def test_c08_mechanism_directional_wins():
     spec = MarkovSpec(n_topics=64, per_topic=4, n_long=56, n_keys=8)
     wins_short_entropy = wins_short_ece = wins_long_close = 0

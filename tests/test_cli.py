@@ -1,8 +1,8 @@
 """Command flows, run in process through cli.main.
 
 Covers the exit-code contract (0 ok, 1 usage/input, 2 numeric abort,
-3 partial comparison failure), flag-over-config precedence, manifest
-uniqueness, and byte-level determinism of report artifacts.
+3 partial comparison failure), flag-over-config precedence, one manifest
+per output directory, and byte-level determinism of report artifacts.
 """
 
 import csv
@@ -250,8 +250,10 @@ def test_compare_table_layout(compare_args, tmp_path, capsys):
     doc = json.loads((out / "compare.json").read_text(encoding="utf-8"))
     assert doc["kind"] == "compare_report"
     assert doc["failures"] == [] and len(doc["rows"]) == 4
-    # member run dirs live under out/, manifest stays unique in the tree
-    assert _manifests(out) == [out / "manifest.json"]
+    # member run dirs live under out/, one manifest per directory
+    assert _manifests(out) == sorted(
+        [out / "manifest.json"]
+        + [out / f"{m}_seed{s}" / "manifest.json" for m in ("mlm", "cp-l") for s in (1, 2)])
 
 
 def test_compare_threads_do_not_change_bytes(compare_args, tmp_path, monkeypatch, capsys):
@@ -318,6 +320,33 @@ def test_compare_honours_regularizer_section(workdir, tmp_path, monkeypatch, cap
     capsys.readouterr()
     assert sorted(r.mode.value for r in seen) == ["cp-l", "mlm"]  # --modes beats the file
     assert all(r.beta == 6.0 for r in seen)
+
+
+def test_compare_member_manifests_record_resolved_config(workdir, tmp_path, capsys):
+    cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+    cfg["regularizer"] = {"mode": "cp-l", "beta": 6}
+    path = tmp_path / "beta6.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "cmp"
+    rc = cli.main(["compare", "--config", str(path), "--modes", "mlm,cp-l",
+                   "--seeds", "1", "--steps", "2", "--intervals", "3:8,8:16",
+                   "--n-per-interval", "5", "--bins", "5", "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    for mode in ("mlm", "cp-l"):
+        run_dir = out / f"{mode}_seed1"
+        doc = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert doc["command"] == "compare-member"
+        config = doc["config"]
+        assert config["regularizer"]["mode"] == mode
+        assert config["regularizer"]["beta"] == 6.0
+        assert config["train"]["regularizer"] == config["regularizer"]
+        assert config["train"]["total_steps"] == 2 and config["train"]["seed"] == 1
+        assert config["model"]["hidden_size"] == 16 and config["model"]["seed"] == 1
+        assert config["eval"] == {"intervals": [[3, 8], [8, 16]], "per_interval_n": 5,
+                                  "n_bins": 5, "seed": 1}
+        assert set(doc["outputs"]) == {str(run_dir / "final.ckpt"),
+                                       str(run_dir / "train_log.jsonl")}
 
 
 def test_compare_single_mode_is_exit_1(workdir, tmp_path, capsys):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from lenreg.corpus import CLS_ID, SEP_ID
 from lenreg.encoder import (
     MODEL_PRESETS,
     ModelConfig,
     StaleCacheError,
+    _gelu,
+    _gelu_grad,
     backward,
     forward,
     init_params,
@@ -176,6 +179,48 @@ def test_dropout_changes_output_and_respects_rng(micro_config):
     c = forward(params, ids, pad, train=True, rng=rng_of(101))
     np.testing.assert_array_equal(a, b)  # same stream, same noise
     assert np.abs(np.asarray(a) - np.asarray(c)).max() > 0  # new stream differs
+
+
+# ------------------------------------------------------------------ GELU
+
+# Reference formulas that each run their own erf, independent of the cached
+# CDF. The cached path must reproduce them bit for bit.
+def _gelu_reference(x):
+    return x * (0.5 * (1.0 + special.erf(x / float(np.sqrt(2.0)))))
+
+
+def _gelu_grad_reference(x):
+    cdf = 0.5 * (1.0 + special.erf(x / float(np.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * float(1.0 / np.sqrt(2.0 * np.pi))
+    return cdf + x * pdf
+
+
+def _gelu_inputs(dtype):
+    info = np.finfo(dtype)
+    smallest_subnormal = np.nextafter(dtype(0), dtype(1))
+    edge = np.array([0.0, 1e-3, 0.5, 1.0, 3.0, 8.0, 10.0, 40.0, 1e4,
+                     info.tiny, smallest_subnormal, info.tiny / 4, info.max], dtype=dtype)
+    draws = rng_of(30).normal(0.0, 3.0, size=512).astype(dtype)
+    return np.concatenate([edge, -edge, draws])
+
+
+def _assert_bitwise(actual, expected):
+    assert actual.dtype == expected.dtype
+    np.testing.assert_array_equal(actual, expected)
+    uint = np.dtype(f"u{actual.dtype.itemsize}")
+    np.testing.assert_array_equal(actual.view(uint), expected.view(uint))  # also +-0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_and_cached_grad_bitwise_equal_recomputing_formula(dtype):
+    x = _gelu_inputs(dtype)
+    assert np.signbit(x[np.nonzero(x == 0)[0]]).any()  # -0.0 is among the inputs
+    with np.errstate(over="ignore"):  # x * x overflows at finfo.max in both paths
+        act, cdf = _gelu(x)
+        _assert_bitwise(act, _gelu_reference(x))
+        _assert_bitwise(_gelu_grad(x, cdf), _gelu_grad_reference(x))
+        # backward rebuilds the activation as u * cdf for the ffn_w2 gradient
+        _assert_bitwise(x * cdf, act)
 
 
 # ------------------------------------------------------------------ backward

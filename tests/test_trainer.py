@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import time
+import types
 
 import numpy as np
 import pytest
+from scipy import special
 
-from lenreg import trainer
+from lenreg import encoder, trainer
 from lenreg.checkpoint import load_checkpoint, load_params
 from lenreg.corpus import build_vocab, encode
 from lenreg.encoder import forward, init_params, preset_config, tensor_names
@@ -292,3 +294,39 @@ def test_hinge_fraction_zero_at_fresh_model(toy_setup):
     res = train(mc, tc, seqs, vocab)
     assert res.history[0].hinge_active_fraction == 0.0
     assert res.history[0].penalty_term == 0.0
+
+
+def test_train_step_runs_erf_once_per_gelu(toy_setup, monkeypatch):
+    # forward runs one erf per FFN activation and one for the head; backward
+    # reuses the cached CDF, so it runs none.
+    _, vocab, seqs, mc = toy_setup
+    calls = []
+
+    def counting_erf(x):
+        calls.append(x.shape)
+        return special.erf(x)
+
+    monkeypatch.setattr(encoder, "special", types.SimpleNamespace(erf=counting_erf))
+    train(mc, _tiny_cfg(total_steps=1, warmup_steps=0), seqs, vocab)
+    assert mc.num_layers >= 2
+    assert len(calls) == mc.num_layers + 1, calls
+
+
+@pytest.mark.parametrize("grad_clip, clipped", [(1e-6, True), (1e6, False)])
+def test_train_logs_pre_clip_grad_norm(toy_setup, tmp_path, monkeypatch, grad_clip, clipped):
+    _, vocab, seqs, mc = toy_setup
+    real_clip = trainer.clip_global_norm
+    norms = []
+
+    def recording_clip(grads, max_norm):
+        norms.append(real_clip(grads, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(trainer, "clip_global_norm", recording_clip)
+    tc = _tiny_cfg(total_steps=4, warmup_steps=1, log_every=1, grad_clip=grad_clip)
+    res = train(mc, tc, seqs, vocab, tmp_path)
+    logged = [json.loads(line) for line in (tmp_path / "train_log.jsonl").read_text().splitlines()]
+    assert [r["grad_norm"] for r in logged] == [r.grad_norm for r in res.history] == norms
+    for rec in logged:
+        assert rec["clipped"] is clipped
+        assert (rec["grad_norm"] > grad_clip) is clipped
