@@ -13,10 +13,18 @@ Every command that writes into an --out directory also writes exactly one
 ``manifest.json`` there (resolved config, seed, input/output hashes, wall
 clock); ``compare`` also writes one into each member's ``{mode}_seed{seed}``
 directory with that member's resolved model, train and regularizer config.
-Exit codes: 0 success, 1 usage or input error, 2 numeric abort
-during training, 3 comparison finished with failed members.
+Exit codes: 0 success, 1 usage or input error (including an unknown config
+section or ``data`` key), 2 numeric abort during training, 3 comparison
+finished with failed members.
+
+A ``--config`` file holds the sections ``data`` (``corpus``, ``vocab``,
+``eval_corpus``, ``min_length``), ``model``, ``train`` and ``regularizer``.
+``pretrain`` and every ``compare`` member train on the corpus filtered by
+``data.min_length``.
 
 ``LENREG_THREADS`` bounds worker parallelism in ``compare`` (default 1).
+A (mode, seed) pair listed more than once is trained once; each of its rows
+repeats that result.
 """
 
 from __future__ import annotations
@@ -41,6 +49,8 @@ from .encoder import MODEL_PRESETS, ModelConfig, preset_config
 from .trainer import TRAIN_PRESETS, NonFiniteLossError
 
 MANIFEST_VERSION = 1
+CONFIG_SECTIONS = ("data", "model", "train", "regularizer")
+DATA_KEYS = ("corpus", "vocab", "eval_corpus", "min_length")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,6 +104,16 @@ def _load_config_file(path) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    for key, section in doc.items():
+        if key not in CONFIG_SECTIONS:
+            raise ValueError(f"{path}: unknown config section {key!r} "
+                             f"(expected one of {', '.join(CONFIG_SECTIONS)})")
+        if not isinstance(section, dict):
+            raise ValueError(f"{path}: config section {key!r} must be a JSON object")
+    for key in doc.get("data", {}):
+        if key not in DATA_KEYS:
+            raise ValueError(f"{path}: unknown data key {key!r} "
+                             f"(expected one of {', '.join(DATA_KEYS)})")
     return doc
 
 
@@ -266,7 +286,8 @@ def _compare_member(member_args) -> dict:
                             seed=seed, steps=train_doc_args.get("steps"))
     train_cfg = _resolve_train_config(cfg_doc, ns, regularizer)
     model_cfg = _resolve_model_config(cfg_doc, ns, vocab.size, seed)
-    sequences = corpus.load_corpus(corpus_path, vocab, model_cfg.maxlen)
+    min_length = cfg_doc.get("data", {}).get("min_length")
+    sequences = corpus.load_corpus(corpus_path, vocab, model_cfg.maxlen, min_length)
     run_dir = out_dir / f"{mode_name}_seed{seed}"
     result = trainer.train(model_cfg, train_cfg, sequences, vocab, run_dir)
 
@@ -305,21 +326,23 @@ def cmd_compare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     train_doc_args = {"preset": args.preset, "steps": args.steps}
     members = [(m, s) for m in modes for s in seeds]
-    payloads = [
-        (m, s, cfg_doc, train_doc_args, corpus_path, vocab_path, eval_path,
-         out_dir, intervals, args.n_per_interval, args.bins)
-        for (m, s) in members
-    ]
     workers = max(1, int(os.environ.get("LENREG_THREADS", "1")))
     rows: list[dict | None] = [None] * len(members)
     failures: list[str] = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_compare_member, p) for p in payloads]
-        for i, fut in enumerate(futures):
+        # A mode listed twice names one run directory: train it once and
+        # give its result to every row that names it.
+        futures = {
+            (m, s): pool.submit(_compare_member, (
+                m, s, cfg_doc, train_doc_args, corpus_path, vocab_path, eval_path,
+                out_dir, intervals, args.n_per_interval, args.bins))
+            for (m, s) in dict.fromkeys(members)
+        }
+        for i, (m, s) in enumerate(members):
             try:
-                rows[i] = fut.result()
+                rows[i] = futures[(m, s)].result()
             except Exception as e:  # keep the table; note the failure
-                failures.append(f"{members[i][0]} seed {members[i][1]}: {e}")
+                failures.append(f"{m} seed {s}: {e}")
 
     csv_path = out_dir / "compare.csv"
     json_path = out_dir / "compare.json"

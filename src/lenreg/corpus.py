@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .losses import length_ratio
+
 __all__ = [
     "PAD_ID", "UNK_ID", "CLS_ID", "SEP_ID", "MASK_ID", "RESERVED_TOKENS",
     "IngestError", "Vocab", "TokenSequence", "MaskedBatch",
@@ -221,8 +223,7 @@ def mask_batch(
         raise ValueError("batch has no sequence with a maskable position")
 
     ids, pad, lengths = pad_to_batch(kept)
-    if lengths.max() > maxlen:
-        raise ValueError(f"sequence length {lengths.max()} exceeds maxlen {maxlen}")
+    ratio = length_ratio(lengths, maxlen)  # also rejects a sequence longer than maxlen
     mask_pos = np.zeros_like(pad)
     labels = np.full_like(ids, -1)
     for i, (select, (u, rand_ids)) in enumerate(zip(selections, replacements)):
@@ -235,7 +236,6 @@ def mask_batch(
         random_slot = (u >= REPLACE_MASK_P) & (u < REPLACE_MASK_P + REPLACE_RANDOM_P)
         new[random_slot] = rand_ids[random_slot]
         ids[i, positions] = new
-    ratio = float(lengths.max()) / float(maxlen)
     return MaskedBatch(
         ids=ids, pad_mask=pad, mask_positions=mask_pos, labels=labels,
         true_lengths=lengths, ratio_r=ratio, skipped=skipped,

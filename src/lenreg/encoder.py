@@ -6,10 +6,11 @@ tied to the transpose of the token embedding (the output bias is untied).
 Single-segment inputs only: sequences look like [CLS] tokens... [SEP] and
 there is no next-sentence objective.
 
-``forward`` caches every intermediate needed by ``backward``, which
-implements reverse-mode differentiation by hand; the test suite checks every
-parameter family against central finite differences. No autograd framework
-is involved anywhere.
+``forward(..., return_cache=True)`` keeps every intermediate that
+``backward`` needs; without it, each layer's intermediates are freed as the
+next layer runs. ``backward`` implements reverse-mode differentiation by
+hand; the test suite checks every parameter family against central finite
+differences. No autograd framework is involved anywhere.
 """
 
 from __future__ import annotations
@@ -85,34 +86,12 @@ def preset_config(name: str, vocab_size: int, seed: int = 0, **overrides) -> Mod
     return ModelConfig(vocab_size=vocab_size, seed=seed, **kw)
 
 
-def tensor_names(config: ModelConfig) -> list[str]:
-    """Canonical tensor order; also the checkpoint manifest order."""
-    names = ["tok_emb", "pos_emb", "emb_ln_g", "emb_ln_b"]
-    for i in range(config.num_layers):
-        p = f"layer{i}."
-        names += [
-            p + "attn_wq", p + "attn_bq", p + "attn_wk", p + "attn_bk",
-            p + "attn_wv", p + "attn_bv", p + "attn_wo", p + "attn_bo",
-            p + "attn_ln_g", p + "attn_ln_b",
-            p + "ffn_w1", p + "ffn_b1", p + "ffn_w2", p + "ffn_b2",
-            p + "ffn_ln_g", p + "ffn_ln_b",
-        ]
-    names += ["head_w", "head_b", "head_ln_g", "head_ln_b", "out_bias"]
-    return names
-
-
 def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in canonical order: also the init draw order
+    and the checkpoint manifest order."""
     h, f, v, m = config.hidden_size, config.ffn_size, config.vocab_size, config.maxlen
     shapes: dict[str, tuple[int, ...]] = {
-        "tok_emb": (v, h),
-        "pos_emb": (m, h),
-        "emb_ln_g": (h,),
-        "emb_ln_b": (h,),
-        "head_w": (h, h),
-        "head_b": (h,),
-        "head_ln_g": (h,),
-        "head_ln_b": (h,),
-        "out_bias": (v,),
+        "tok_emb": (v, h), "pos_emb": (m, h), "emb_ln_g": (h,), "emb_ln_b": (h,),
     }
     for i in range(config.num_layers):
         p = f"layer{i}."
@@ -126,7 +105,16 @@ def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
             p + "ffn_w2": (f, h), p + "ffn_b2": (h,),
             p + "ffn_ln_g": (h,), p + "ffn_ln_b": (h,),
         })
+    shapes.update({
+        "head_w": (h, h), "head_b": (h,), "head_ln_g": (h,), "head_ln_b": (h,),
+        "out_bias": (v,),
+    })
     return shapes
+
+
+def tensor_names(config: ModelConfig) -> list[str]:
+    """Canonical tensor order; also the checkpoint manifest order."""
+    return list(tensor_shapes(config))
 
 
 def param_count(config: ModelConfig) -> int:
@@ -156,24 +144,23 @@ class ModelParams:
 
 
 def init_params(config: ModelConfig, dtype=np.float32) -> ModelParams:
-    """Truncated-normal(0, 0.02) weights, zero biases and LN offsets, unit LN scales.
+    """Truncated-normal(0, 0.02) matrices, unit LN scales (``*_g``), zero
+    biases and LN offsets.
 
-    Deterministic given config.seed; tensors are drawn in ``tensor_names``
-    order so the stream layout is stable across runs.
+    Deterministic given config.seed; the matrices are drawn in canonical
+    (``tensor_shapes``) order so the stream layout is stable across runs.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0x1A17)))
-    shapes = tensor_shapes(config)
     tensors: dict[str, np.ndarray] = {}
-    for name in tensor_names(config):
-        shape = shapes[name]
-        if name.endswith(("_g",)):
-            tensors[name] = np.ones(shape, dtype=dtype)
-        elif name.endswith(("_b", "bias")) or ".attn_b" in name or ".ffn_b" in name:
-            tensors[name] = np.zeros(shape, dtype=dtype)
-        else:
+    for name, shape in tensor_shapes(config).items():
+        if len(shape) == 2:
             draw = stats.truncnorm.rvs(-2.0, 2.0, loc=0.0, scale=_INIT_STD,
                                        size=shape, random_state=rng)
             tensors[name] = np.asarray(draw, dtype=dtype)
+        elif name.endswith("_g"):
+            tensors[name] = np.ones(shape, dtype=dtype)
+        else:
+            tensors[name] = np.zeros(shape, dtype=dtype)
     return ModelParams(config, tensors)
 
 
@@ -214,18 +201,25 @@ def _ln_backward(dy, g, cache):
 
 
 def _dropout(x, p, rng):
+    """Inverted dropout: ``(x * keep / (1 - p), keep)``; ``(x, None)``
+    without drawing when ``rng`` is None."""
+    if rng is None:
+        return x, None
     keep = rng.random(x.shape) >= p
     scale = np.asarray(1.0 / (1.0 - p), dtype=x.dtype)  # keep float32 paths float32
     return x * (keep * scale), keep
+
+
+def _undrop(d, keep, scale):
+    """Gradient through ``_dropout``, given its ``keep`` mask (None: identity)."""
+    return d if keep is None else d * (keep * scale)
 
 
 @dataclass
 class ForwardCache:
     params: ModelParams
     token_ids: np.ndarray
-    pad_mask: np.ndarray
     head_positions: Optional[np.ndarray]
-    train: bool
     emb_ln: tuple
     emb_drop: Optional[np.ndarray]
     layers: list
@@ -271,6 +265,7 @@ def forward(
     dropping = train and cfg.dropout_p > 0.0
     if dropping and rng is None:
         raise ValueError("train-mode forward with dropout requires an rng stream")
+    drop_rng = rng if dropping else None
 
     dtype = params.dtype
     p_drop = cfg.dropout_p
@@ -281,10 +276,7 @@ def forward(
 
     x0 = t["tok_emb"][ids] + t["pos_emb"][:s]
     e, emb_ln = _ln_forward(x0, t["emb_ln_g"], t["emb_ln_b"], cfg.layernorm_eps)
-    if dropping:
-        x, emb_drop = _dropout(e, p_drop, rng)
-    else:
-        x, emb_drop = e, None
+    x, emb_drop = _dropout(e, p_drop, drop_rng)
 
     layer_caches = []
     for i in range(cfg.num_layers):
@@ -299,16 +291,10 @@ def forward(
         scores -= scores.max(axis=-1, keepdims=True)
         ew = np.exp(scores)
         attn = ew / ew.sum(axis=-1, keepdims=True)
-        if dropping:
-            attn_used, attn_drop = _dropout(attn, p_drop, rng)
-        else:
-            attn_used, attn_drop = attn, None
+        attn_used, attn_drop = _dropout(attn, p_drop, drop_rng)
         ctx = np.matmul(attn_used, v).transpose(0, 2, 1, 3).reshape(b * s, -1)
         proj = ctx @ t[pfx + "attn_wo"] + t[pfx + "attn_bo"]
-        if dropping:
-            proj, proj_drop = _dropout(proj, p_drop, rng)
-        else:
-            proj_drop = None
+        proj, proj_drop = _dropout(proj, p_drop, drop_rng)
         x1, ln1 = _ln_forward(x_in + proj.reshape(b, s, -1),
                               t[pfx + "attn_ln_g"], t[pfx + "attn_ln_b"], cfg.layernorm_eps)
 
@@ -317,18 +303,15 @@ def forward(
         hact, u_cdf = _gelu(u)
         f = hact @ t[pfx + "ffn_w2"] + t[pfx + "ffn_b2"]
         del hact  # backward rebuilds it from u and u_cdf
-        if dropping:
-            f, ffn_drop = _dropout(f, p_drop, rng)
-        else:
-            ffn_drop = None
-        x2, ln2 = _ln_forward(x1 + f.reshape(b, s, -1),
-                              t[pfx + "ffn_ln_g"], t[pfx + "ffn_ln_b"], cfg.layernorm_eps)
-        layer_caches.append(dict(
-            x_in=x_in, q=q, k=k, v=v, attn=attn, attn_used=attn_used,
-            attn_drop=attn_drop, ctx=ctx, proj_drop=proj_drop, ln1=ln1,
-            x1=x1, u=u, u_cdf=u_cdf, ffn_drop=ffn_drop, ln2=ln2,
-        ))
-        x = x2
+        f, ffn_drop = _dropout(f, p_drop, drop_rng)
+        x, ln2 = _ln_forward(x1 + f.reshape(b, s, -1),
+                             t[pfx + "ffn_ln_g"], t[pfx + "ffn_ln_b"], cfg.layernorm_eps)
+        if return_cache:  # otherwise this layer's intermediates die with the next one
+            layer_caches.append(dict(
+                x_in=x_in, q=q, k=k, v=v, attn=attn, attn_used=attn_used,
+                attn_drop=attn_drop, ctx=ctx, proj_drop=proj_drop, ln1=ln1,
+                x1=x1, u=u, u_cdf=u_cdf, ffn_drop=ffn_drop, ln2=ln2,
+            ))
 
     if head_positions is not None:
         head_positions = np.asarray(head_positions, dtype=bool)
@@ -347,8 +330,7 @@ def forward(
     if not return_cache:
         return logits
     cache = ForwardCache(
-        params=params, token_ids=ids, pad_mask=pad_mask,
-        head_positions=head_positions, train=dropping,
+        params=params, token_ids=ids, head_positions=head_positions,
         emb_ln=emb_ln, emb_drop=emb_drop,
         layers=layer_caches, head_in=head_in, head_pre=head_pre, head_cdf=head_cdf,
         head_ln=head_ln, head_normed=head_normed,
@@ -374,8 +356,7 @@ def backward(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray) -> d
     hd = cfg.hidden_size // nh
     dtype = params.dtype
     scale = np.asarray(1.0 / np.sqrt(hd), dtype=dtype)
-    p_drop = cfg.dropout_p
-    drop_scale = np.asarray(1.0 / (1.0 - p_drop) if p_drop > 0 else 1.0, dtype=dtype)
+    drop_scale = np.asarray(1.0 / (1.0 - cfg.dropout_p), dtype=dtype)
 
     grads: dict[str, np.ndarray] = {}
     dl = np.asarray(dlogits, dtype=dtype)
@@ -409,9 +390,7 @@ def backward(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray) -> d
         lc = cache.layers[i]
         dsum2, dg, db = _ln_backward(dx, t[pfx + "ffn_ln_g"], lc["ln2"])
         grads[pfx + "ffn_ln_g"], grads[pfx + "ffn_ln_b"] = dg, db
-        df = dsum2.reshape(b * s, -1)
-        if lc["ffn_drop"] is not None:
-            df = df * (lc["ffn_drop"] * drop_scale)
+        df = _undrop(dsum2.reshape(b * s, -1), lc["ffn_drop"], drop_scale)
         # GELU(u) rebuilt with _gelu's own operands and op, so bitwise its output.
         grads[pfx + "ffn_w2"] = (lc["u"] * lc["u_cdf"]).T @ df
         grads[pfx + "ffn_b2"] = df.sum(axis=0)
@@ -424,18 +403,13 @@ def backward(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray) -> d
 
         dsum1, dg, db = _ln_backward(dx1, t[pfx + "attn_ln_g"], lc["ln1"])
         grads[pfx + "attn_ln_g"], grads[pfx + "attn_ln_b"] = dg, db
-        dproj = dsum1.reshape(b * s, -1)
-        if lc["proj_drop"] is not None:
-            dproj = dproj * (lc["proj_drop"] * drop_scale)
+        dproj = _undrop(dsum1.reshape(b * s, -1), lc["proj_drop"], drop_scale)
         grads[pfx + "attn_wo"] = lc["ctx"].T @ dproj
         grads[pfx + "attn_bo"] = dproj.sum(axis=0)
         dctx = (dproj @ t[pfx + "attn_wo"].T).reshape(b, s, nh, hd).transpose(0, 2, 1, 3)
         dattn_used = np.matmul(dctx, lc["v"].transpose(0, 1, 3, 2))
         dv = np.matmul(lc["attn_used"].transpose(0, 1, 3, 2), dctx)
-        if lc["attn_drop"] is not None:
-            dattn = dattn_used * (lc["attn_drop"] * drop_scale)
-        else:
-            dattn = dattn_used
+        dattn = _undrop(dattn_used, lc["attn_drop"], drop_scale)
         a = lc["attn"]
         dscores = a * (dattn - (dattn * a).sum(axis=-1, keepdims=True))
         dscores = dscores * scale
@@ -451,8 +425,7 @@ def backward(params: ModelParams, cache: ForwardCache, dlogits: np.ndarray) -> d
             dx_in = dx_in + (d2d @ t[pfx + f"attn_w{nm}"].T).reshape(b, s, -1)
         dx = dx_in
 
-    if cache.emb_drop is not None:
-        dx = dx * (cache.emb_drop * drop_scale)
+    dx = _undrop(dx, cache.emb_drop, drop_scale)
     dx0, dg, db = _ln_backward(dx, t["emb_ln_g"], cache.emb_ln)
     grads["emb_ln_g"], grads["emb_ln_b"] = dg, db
     grads["pos_emb"] = np.zeros_like(t["pos_emb"])

@@ -170,7 +170,7 @@ def length_ratio(lengths, maxlen: int) -> float:
     if maxlen < 1:
         raise ValueError(f"maxlen must be positive, got {maxlen}")
     if np.any(arr > maxlen):
-        raise ValueError("a sequence length exceeds maxlen")
+        raise ValueError(f"sequence length {arr.max()} exceeds maxlen {maxlen}")
     return float(arr.max()) / float(maxlen)
 
 

@@ -354,3 +354,75 @@ def test_compare_single_mode_is_exit_1(workdir, tmp_path, capsys):
                    "--modes", "mlm", "--seeds", "1", "--out", str(tmp_path)])
     assert rc == 1
     assert "at least two modes" in capsys.readouterr().err
+
+
+def test_compare_honours_data_min_length(workdir, tmp_path, monkeypatch, capsys):
+    # Units of 1, 2 and 4 words encode to lengths 3, 4 and 6.
+    units = [" ".join(f"w{(i + j) % 23}" for j in range(n))
+             for i in range(12) for n in (1, 2, 4)]
+    (tmp_path / "corpus.txt").write_text("\n\n".join(units) + "\n", encoding="utf-8")
+    build_vocab(units, 64).save(tmp_path / "vocab.txt")
+    cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+    cfg["data"] = {"corpus": str(tmp_path / "corpus.txt"),
+                   "vocab": str(tmp_path / "vocab.txt"), "min_length": 6}
+    path = tmp_path / "min6.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    seen = []
+    real_train = trainer.train
+
+    def spy(model_cfg, train_cfg, sequences, *args, **kwargs):
+        seen.append(sorted({s.length for s in sequences}))
+        return real_train(model_cfg, train_cfg, sequences, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train", spy)
+    assert cli.main(["pretrain", "--config", str(path), "--steps", "2",
+                     "--out", str(tmp_path / "pre")]) == 0
+    assert cli.main(["compare", "--config", str(path), "--modes", "mlm,cp-l",
+                     "--seeds", "1", "--steps", "2", "--intervals", "3:8,8:16",
+                     "--n-per-interval", "5", "--bins", "5",
+                     "--out", str(tmp_path / "cmp")]) == 0
+    capsys.readouterr()
+    assert seen == [[6], [6], [6]]  # pretrain, then both compare members
+
+
+def test_compare_repeated_mode_trains_once(workdir, tmp_path, monkeypatch, capsys):
+    cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+    cfg["train"]["log_every"] = 1
+    path = tmp_path / "log1.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    calls = []
+    real_train = trainer.train
+
+    def spy(*args, **kwargs):
+        calls.append(args[-1])
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train", spy)
+    monkeypatch.setenv("LENREG_THREADS", "2")
+    out = tmp_path / "dup"
+    rc = cli.main(["compare", "--config", str(path), "--modes", "mlm,mlm",
+                   "--seeds", "1", "--steps", "40", "--intervals", "3:8,8:16",
+                   "--n-per-interval", "5", "--bins", "5", "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    assert calls == [out / "mlm_seed1"]
+    lines = (out / "mlm_seed1" / "train_log.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["step"] for line in lines] == list(range(40))
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"trian": {"total_steps": 2}}, "'trian'"),
+    ({"data": {"corpus_path": "x.txt"}}, "'corpus_path'"),
+])
+def test_unknown_config_key_is_exit_1(workdir, tmp_path, capsys, doc, key):
+    cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+    for section, values in doc.items():
+        cfg.setdefault(section, {}).update(values)
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    for command in (["pretrain", "--steps", "2"], ["compare", "--modes", "mlm,cp-l",
+                                                   "--seeds", "1", "--steps", "2"]):
+        rc = cli.main(command + ["--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

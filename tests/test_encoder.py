@@ -1,10 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import special, stats
 
 from lenreg.corpus import CLS_ID, SEP_ID
 from lenreg.encoder import (
@@ -93,6 +94,23 @@ def test_init_dtype_float32(micro_params):
     assert all(t.dtype == np.float32 for t in micro_params.tensors.values())
 
 
+@pytest.mark.parametrize("layers", [1, 2, 4])
+def test_init_draws_matrices_in_canonical_order(layers):
+    # Oracle: one truncnorm draw per 2-D tensor, in tensor_names order, from
+    # the init stream; every other tensor is drawn from nothing.
+    cfg = preset_config("nano", vocab_size=40, seed=7, num_layers=layers)
+    params = init_params(cfg)
+    assert list(params.tensors) == tensor_names(cfg) == list(tensor_shapes(cfg))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, 0x1A17)))
+    for name in tensor_names(cfg):
+        got = params.tensors[name]
+        assert got.shape == tensor_shapes(cfg)[name], name
+        if got.ndim == 2:
+            want = stats.truncnorm.rvs(-2.0, 2.0, loc=0.0, scale=0.02,
+                                       size=got.shape, random_state=rng)
+            assert got.tobytes() == np.asarray(want, dtype=np.float32).tobytes(), name
+
+
 # ------------------------------------------------------------------ forward
 
 def test_forward_shape_contract():
@@ -179,6 +197,35 @@ def test_dropout_changes_output_and_respects_rng(micro_config):
     c = forward(params, ids, pad, train=True, rng=rng_of(101))
     np.testing.assert_array_equal(a, b)  # same stream, same noise
     assert np.abs(np.asarray(a) - np.asarray(c)).max() > 0  # new stream differs
+
+
+def test_no_dropout_forward_draws_nothing(micro_config):
+    # An eval forward, or a train forward at dropout_p 0, leaves the stream as it was.
+    ids, pad = make_batch(micro_config, [8], rng_of(13))
+    for cfg, train in ((dataclasses.replace(micro_config, dropout_p=0.3), False),
+                       (micro_config, True)):
+        rng = rng_of(100)
+        forward(init_params(cfg), ids, pad, train=train, rng=rng, return_cache=True)
+        assert rng.random() == rng_of(100).random()
+
+
+def test_eval_forward_holds_no_backward_cache():
+    # The batch calibration evaluates: 64 sequences of 126 tokens, nano model.
+    cfg = preset_config("nano", vocab_size=181, seed=0)
+    params = init_params(cfg)
+    rng = rng_of(14)
+    ids, pad = make_batch(cfg, [126] * 64, rng)
+    head = (rng.random(ids.shape) < 0.15) & ~pad
+
+    def peak(return_cache):
+        tracemalloc.start()
+        try:
+            forward(params, ids, pad, head_positions=head, return_cache=return_cache)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(False) <= 0.8 * peak(True)
 
 
 # ------------------------------------------------------------------ GELU

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,3 +137,15 @@ def test_length_skew_deterministic_and_validated():
         length_skew_corpus(min_tokens=2)
     with pytest.raises(ValueError):
         length_skew_corpus(min_tokens=20, max_tokens=10)
+
+
+def test_bundled_fixtures_match_generator():
+    # data/ is what scripts/gen_fixtures.py writes; --check regenerates in memory.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "gen_fixtures.py"), "--check"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count(": ok (") == 3
