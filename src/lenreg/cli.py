@@ -19,8 +19,11 @@ finished with failed members.
 
 A ``--config`` file holds the sections ``data`` (``corpus``, ``vocab``,
 ``eval_corpus``, ``min_length``), ``model``, ``train`` and ``regularizer``.
-``pretrain`` and every ``compare`` member train on the corpus filtered by
-``data.min_length``.
+``resolve_config`` applies the preset, then the file, then the flags, and
+rejects ``model.seed``, ``model.vocab_size`` and ``train.regularizer``, which
+it derives. ``pretrain`` and every ``compare`` member train on the corpus
+filtered by ``data.min_length``. ``compare`` reads every config and input
+once, before any member trains, so a bad one exits 1 without training.
 
 ``LENREG_THREADS`` bounds worker parallelism in ``compare`` (default 1).
 A (mode, seed) pair listed more than once is trained once; each of its rows
@@ -45,12 +48,18 @@ import numpy as np
 
 from . import calibration, corpus, losses, synthetic, trainer
 from .checkpoint import load_params
-from .encoder import MODEL_PRESETS, ModelConfig, preset_config
+from .encoder import MODEL_PRESETS, ModelConfig
 from .trainer import TRAIN_PRESETS, NonFiniteLossError
 
 MANIFEST_VERSION = 1
 CONFIG_SECTIONS = ("data", "model", "train", "regularizer")
 DATA_KEYS = ("corpus", "vocab", "eval_corpus", "min_length")
+# --preset names both a model and a train preset.
+RUN_PRESETS = sorted(set(MODEL_PRESETS) & set(TRAIN_PRESETS))
+# Config keys the resolver derives, each with where its value comes from.
+DERIVED_KEYS = {("model", "seed"): "train.seed (or --seed)",
+                ("model", "vocab_size"): "the vocabulary",
+                ("train", "regularizer"): "the regularizer section"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,54 +130,52 @@ def _parse_intervals(text: str) -> list[tuple[int, int]]:
     out = []
     for part in text.split(","):
         lo, _, hi = part.partition(":")
-        out.append((int(lo), int(hi)))
+        try:
+            out.append((int(lo), int(hi)))
+        except ValueError:
+            raise ValueError(f"--intervals entry {part!r} is not of the form lo:hi "
+                             f"(two integers, e.g. 10:50)") from None
     return out
 
 
-def _resolve_regularizer(cfg_doc: dict, args) -> losses.RegularizerConfig:
+def _preset_fields(cfg_doc: dict, section: str, preset, table: dict) -> dict:
+    """The named preset's fields updated by the file section's own keys."""
+    doc = dict(cfg_doc.get(section, {}))
+    file_preset = doc.pop("preset", "nano")
+    name = preset or file_preset
+    if name not in table:
+        raise ValueError(f"unknown {section} preset {name!r} "
+                         f"(expected one of {', '.join(sorted(table))})")
+    return {**table[name], **doc}
+
+
+def resolve_config(cfg_doc: dict, vocab_size: int, *, mode=None, seed=None, preset=None, steps=None,
+                   beta=None, T=None, alpha=None) -> tuple[ModelConfig, trainer.TrainConfig]:
+    """Model and train config of one run: the preset, then the config file,
+    then every override that is not None. The model seed is the train seed."""
+    for (section, key), source in DERIVED_KEYS.items():
+        if key in cfg_doc.get(section, {}):
+            raise ValueError(f"config key {section}.{key} is not allowed: {source} sets it")
     reg = dict(cfg_doc.get("regularizer", {}))
-    if getattr(args, "mode", None):
-        reg["mode"] = args.mode
-    if getattr(args, "beta", None) is not None:
-        reg["beta"] = args.beta
-    if getattr(args, "T", None) is not None:
-        reg["T"] = args.T
-    if getattr(args, "alpha", None) is not None:
-        reg["alpha"] = args.alpha
-    mode = losses.Mode.parse(reg.pop("mode", "mlm"))
-    return losses.RegularizerConfig(mode=mode, **reg)
+    reg.update({k: v for k, v in (("mode", mode), ("beta", beta), ("T", T), ("alpha", alpha))
+                if v is not None})
+    regularizer = losses.RegularizerConfig(mode=losses.Mode.parse(reg.pop("mode", "mlm")), **reg)
+    train_kw = _preset_fields(cfg_doc, "train", preset, TRAIN_PRESETS)
+    if seed is not None:
+        train_kw["seed"] = seed
+    if steps is not None:
+        train_kw["total_steps"] = steps
+        train_kw["warmup_steps"] = min(train_kw["warmup_steps"], max(0, steps - 1))
+    train_cfg = trainer.TrainConfig(regularizer=regularizer, **train_kw)
+    model_kw = _preset_fields(cfg_doc, "model", preset, MODEL_PRESETS)
+    return ModelConfig(vocab_size=vocab_size, seed=train_cfg.seed, **model_kw), train_cfg
 
 
-def _resolve_train_config(cfg_doc: dict, args, regularizer) -> trainer.TrainConfig:
-    doc = dict(cfg_doc.get("train", {}))
-    preset = getattr(args, "preset", None) or doc.pop("preset", "nano")
-    if preset not in TRAIN_PRESETS:
-        raise ValueError(f"unknown preset {preset!r}")
-    kw = dict(TRAIN_PRESETS[preset])
-    kw.update(doc)
-    if getattr(args, "seed", None) is not None:
-        kw["seed"] = args.seed
-    if getattr(args, "steps", None) is not None:
-        kw["total_steps"] = args.steps
-        kw["warmup_steps"] = min(kw["warmup_steps"], max(0, args.steps - 1))
-    return trainer.TrainConfig(regularizer=regularizer, **kw)
-
-
-def _resolve_model_config(cfg_doc: dict, args, vocab_size: int, seed: int) -> ModelConfig:
-    doc = dict(cfg_doc.get("model", {}))
-    preset = getattr(args, "preset", None) or doc.pop("preset", "nano")
-    if preset not in MODEL_PRESETS:
-        raise ValueError(f"unknown preset {preset!r}")
-    return preset_config(preset, vocab_size=vocab_size, seed=seed, **doc)
-
-
-def _data_path(cfg_doc: dict, args, key: str, flag: str, required: bool = True):
-    value = getattr(args, flag, None)
+def _data_path(cfg_doc: dict, args, key: str, default=None) -> Path:
+    value = getattr(args, key, None) or cfg_doc.get("data", {}).get(key) or default
     if value is None:
-        value = cfg_doc.get("data", {}).get(key)
-    if value is None and required:
-        raise ValueError(f"missing required input: --{flag.replace('_', '-')} (or data.{key} in --config)")
-    return Path(value) if value is not None else None
+        raise ValueError(f"missing required input: --{key.replace('_', '-')} (or data.{key} in --config)")
+    return Path(value)
 
 
 def cmd_build_vocab(args) -> int:
@@ -205,14 +212,14 @@ def cmd_gen_corpus(args) -> int:
 def cmd_pretrain(args) -> int:
     t0 = time.time()
     cfg_doc = _load_config_file(args.config)
-    corpus_path = _data_path(cfg_doc, args, "corpus", "corpus")
-    vocab_path = _data_path(cfg_doc, args, "vocab", "vocab")
+    corpus_path = _data_path(cfg_doc, args, "corpus")
+    vocab_path = _data_path(cfg_doc, args, "vocab")
     vocab = corpus.Vocab.load(vocab_path)
-    regularizer = _resolve_regularizer(cfg_doc, args)
-    train_cfg = _resolve_train_config(cfg_doc, args, regularizer)
-    model_cfg = _resolve_model_config(cfg_doc, args, vocab.size, train_cfg.seed)
-    min_length = cfg_doc.get("data", {}).get("min_length")
-    sequences = corpus.load_corpus(corpus_path, vocab, model_cfg.maxlen, min_length)
+    model_cfg, train_cfg = resolve_config(
+        cfg_doc, vocab.size, mode=args.mode, seed=args.seed, preset=args.preset,
+        steps=args.steps, beta=args.beta, T=args.T, alpha=args.alpha)
+    sequences = corpus.load_corpus(corpus_path, vocab, model_cfg.maxlen,
+                                   cfg_doc.get("data", {}).get("min_length"))
 
     out_dir = Path(args.out)
     result = trainer.train(model_cfg, train_cfg, sequences, vocab, out_dir)
@@ -223,7 +230,7 @@ def cmd_pretrain(args) -> int:
         train_cfg.seed, [corpus_path, vocab_path],
         [result.checkpoint_path, result.log_path], t0, time.time(),
     )
-    print(f"trained {train_cfg.total_steps} steps ({regularizer.mode.value}); "
+    print(f"trained {train_cfg.total_steps} steps ({train_cfg.regularizer.mode.value}); "
           f"final loss {last.total:.4f} -> {result.checkpoint_path}")
     return 0
 
@@ -276,67 +283,56 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
-def _compare_member(member_args) -> dict:
-    (mode_name, seed, cfg_doc, train_doc_args, corpus_path, vocab_path,
-     eval_path, out_dir, intervals, n_per_interval, bins) = member_args
+def _compare_member(*, mode, seed, model_cfg, train_cfg, sequences, eval_sequences, vocab,
+                    run_dir: Path, inputs: list, eval_meta: dict) -> dict:
     t0 = time.time()
-    vocab = corpus.Vocab.load(vocab_path)
-    regularizer = _resolve_regularizer(cfg_doc, argparse.Namespace(mode=mode_name))
-    ns = argparse.Namespace(preset=train_doc_args.get("preset"),
-                            seed=seed, steps=train_doc_args.get("steps"))
-    train_cfg = _resolve_train_config(cfg_doc, ns, regularizer)
-    model_cfg = _resolve_model_config(cfg_doc, ns, vocab.size, seed)
-    min_length = cfg_doc.get("data", {}).get("min_length")
-    sequences = corpus.load_corpus(corpus_path, vocab, model_cfg.maxlen, min_length)
-    run_dir = out_dir / f"{mode_name}_seed{seed}"
     result = trainer.train(model_cfg, train_cfg, sequences, vocab, run_dir)
-
-    eval_sequences = corpus.load_corpus(eval_path, vocab, model_cfg.maxlen)
-    ev = calibration.evaluate(result.params, eval_sequences, vocab, intervals,
-                              n_per_interval, bins, seed)
-    _write_manifest(
-        run_dir, "compare-member",
-        {"model": model_cfg, "train": train_cfg, "regularizer": result.regularizer,
-         "eval": {"intervals": intervals, "per_interval_n": n_per_interval,
-                  "n_bins": bins, "seed": seed}},
-        seed, [corpus_path, vocab_path, eval_path],
-        [result.checkpoint_path, result.log_path], t0, time.time(),
-    )
-    return calibration.compare_row(mode_name, seed, result.history[-1].total, ev)
+    ev = calibration.evaluate(result.params, eval_sequences, vocab, eval_meta["intervals"],
+                              eval_meta["per_interval_n"], eval_meta["n_bins"], seed)
+    _write_manifest(run_dir, "compare-member",
+                    {"model": model_cfg, "train": train_cfg, "regularizer": result.regularizer,
+                     "eval": {**eval_meta, "seed": seed}},
+                    seed, inputs, [result.checkpoint_path, result.log_path], t0, time.time())
+    return calibration.compare_row(mode, seed, result.history[-1].total, ev)
 
 
 def cmd_compare(args) -> int:
     t0 = time.time()
     cfg_doc = _load_config_file(args.config)
-    corpus_path = _data_path(cfg_doc, args, "corpus", "corpus")
-    vocab_path = _data_path(cfg_doc, args, "vocab", "vocab")
-    eval_path = _data_path(cfg_doc, args, "eval_corpus", "eval_corpus", required=False) or corpus_path
+    corpus_path = _data_path(cfg_doc, args, "corpus")
+    vocab_path = _data_path(cfg_doc, args, "vocab")
+    eval_path = _data_path(cfg_doc, args, "eval_corpus", default=corpus_path)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if len(modes) < 2 or not seeds:
         raise ValueError("compare needs at least two modes and one seed")
-    for m in modes:
-        losses.Mode.parse(m)
-    vocab_probe = corpus.Vocab.load(vocab_path)
-    maxlen = _resolve_model_config(cfg_doc, args, vocab_probe.size, 0).maxlen
+    # Members differ only in mode and seed, so they share one maxlen and one read of each
+    # input, all before any trains. A repeated (mode, seed) names one run dir: train it once.
+    vocab = corpus.Vocab.load(vocab_path)
+    members = [(m, s) for m in modes for s in seeds]
+    configs = {(m, s): resolve_config(cfg_doc, vocab.size, mode=m, seed=s,
+                                      preset=args.preset, steps=args.steps)
+               for (m, s) in dict.fromkeys(members)}
+    maxlen = configs[members[0]][0].maxlen
     intervals = (_parse_intervals(args.intervals) if args.intervals
                  else calibration.default_intervals(maxlen))
+    sequences = corpus.load_corpus(corpus_path, vocab, maxlen,
+                                   cfg_doc.get("data", {}).get("min_length"))
+    eval_sequences = corpus.load_corpus(eval_path, vocab, maxlen)
+    eval_meta = {"intervals": intervals, "per_interval_n": args.n_per_interval, "n_bins": args.bins}
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_doc_args = {"preset": args.preset, "steps": args.steps}
-    members = [(m, s) for m in modes for s in seeds]
-    workers = max(1, int(os.environ.get("LENREG_THREADS", "1")))
+    inputs = [corpus_path, vocab_path, eval_path]
     rows: list[dict | None] = [None] * len(members)
     failures: list[str] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # A mode listed twice names one run directory: train it once and
-        # give its result to every row that names it.
+    with ThreadPoolExecutor(max_workers=max(1, int(os.environ.get("LENREG_THREADS", "1")))) as pool:
         futures = {
-            (m, s): pool.submit(_compare_member, (
-                m, s, cfg_doc, train_doc_args, corpus_path, vocab_path, eval_path,
-                out_dir, intervals, args.n_per_interval, args.bins))
-            for (m, s) in dict.fromkeys(members)
+            (m, s): pool.submit(
+                _compare_member, mode=m, seed=s, model_cfg=model_cfg, train_cfg=train_cfg,
+                sequences=sequences, eval_sequences=eval_sequences, vocab=vocab,
+                run_dir=out_dir / f"{m}_seed{s}", inputs=inputs, eval_meta=eval_meta)
+            for (m, s), (model_cfg, train_cfg) in configs.items()
         }
         for i, (m, s) in enumerate(members):
             try:
@@ -349,9 +345,9 @@ def cmd_compare(args) -> int:
     calibration.write_compare_csv(csv_path, modes, seeds, intervals, rows)
     calibration.write_compare_json(json_path, modes, seeds, intervals, rows, failures)
     _write_manifest(out_dir, "compare",
-                    {"modes": modes, "seeds": seeds, "train": train_doc_args},
-                    seeds, [corpus_path, vocab_path, eval_path],
-                    [csv_path, json_path], t0, time.time())
+                    {"modes": modes, "seeds": seeds,
+                     "train": {"preset": args.preset, "steps": args.steps}},
+                    seeds, inputs, [csv_path, json_path], t0, time.time())
     for line in failures:
         print(f"FAILED member: {line}", file=sys.stderr)
     print(f"compare table -> {csv_path}")
@@ -390,7 +386,7 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", type=float)
     p.add_argument("--T", type=float)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--preset", choices=sorted(TRAIN_PRESETS))
+    p.add_argument("--preset", choices=RUN_PRESETS)
     p.add_argument("--seed", type=int)
     p.add_argument("--steps", type=int)
     p.add_argument("--out", required=True)
@@ -422,7 +418,7 @@ def build_parser() -> _Parser:
                    help="held-out corpus for calibration (defaults to --corpus)")
     p.add_argument("--modes", required=True, help="comma-separated mode list")
     p.add_argument("--seeds", required=True, help="comma-separated seed list")
-    p.add_argument("--preset", choices=sorted(TRAIN_PRESETS))
+    p.add_argument("--preset", choices=RUN_PRESETS)
     p.add_argument("--steps", type=int)
     p.add_argument("--intervals")
     p.add_argument("--n-per-interval", type=int, default=calibration.DEFAULT_PER_INTERVAL_N)

@@ -426,3 +426,95 @@ def test_unknown_config_key_is_exit_1(workdir, tmp_path, capsys, doc, key):
         assert rc == 1
         assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _train_spy(monkeypatch):
+    calls = []
+    real_train = trainer.train
+
+    def spy(*args, **kwargs):
+        calls.append(args[-1])
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train", spy)
+    return calls
+
+
+def test_compare_missing_eval_corpus_exits_before_training(workdir, tmp_path, monkeypatch,
+                                                           capsys):
+    cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+    missing = tmp_path / "no_such_eval.txt"
+    cfg["data"]["eval_corpus"] = str(missing)
+    path = tmp_path / "noeval.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    calls = _train_spy(monkeypatch)
+    out = tmp_path / "cmp"
+    rc = cli.main(["compare", "--config", str(path), "--modes", "mlm,cp-l", "--seeds", "1",
+                   "--steps", "2", "--out", str(out)])
+    assert rc == 1
+    assert str(missing) in capsys.readouterr().err
+    assert calls == []
+    assert not (out / "compare.csv").exists()
+    assert not list(out.glob("*_seed*"))
+
+
+def test_preset_flag_offers_presets_of_both_tables(workdir, tmp_path, capsys):
+    for command in (["pretrain"], ["compare", "--modes", "mlm,cp-l", "--seeds", "1"]):
+        rc = cli.main(command + ["--config", str(workdir / "config.json"), "--preset", "base",
+                                 "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "invalid choice: 'base'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_file_presets_and_preset_flag(workdir, tmp_path, capsys):
+    cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+    cfg["train"]["preset"] = "base"  # training-only; the workdir config names model.preset
+    path = tmp_path / "presets.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    for flags, preset in (([], "base"), (["--preset", "nano"], "nano")):
+        out = tmp_path / preset
+        assert cli.main(["pretrain", "--config", str(path), "--steps", "2", "--out", str(out)]
+                        + flags) == 0
+        doc = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert doc["config"]["train"]["peak_lr"] == trainer.TRAIN_PRESETS[preset]["peak_lr"]
+        assert doc["config"]["train"]["log_every"] == 4  # file keys beat either preset
+        assert doc["config"]["model"]["hidden_size"] == 16
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "seed", 5),
+    ("model", "vocab_size", 64),
+    ("train", "regularizer", {"mode": "cp"}),
+])
+def test_derived_config_key_is_exit_1(workdir, tmp_path, monkeypatch, capsys,
+                                      section, key, value):
+    cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+    cfg[section][key] = value
+    path = tmp_path / "derived.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    calls = _train_spy(monkeypatch)
+    for command in (["pretrain"], ["compare", "--modes", "mlm,cp-l", "--seeds", "1"]):
+        rc = cli.main(command + ["--config", str(path), "--steps", "2",
+                                 "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_intervals_entry_is_exit_1(workdir, pretrain_run, tmp_path, monkeypatch,
+                                             capsys):
+    calls = _train_spy(monkeypatch)
+    for command in (["eval-ece", "--checkpoint", str(pretrain_run / "final.ckpt"),
+                     "--corpus", str(workdir / "corpus.txt"),
+                     "--vocab", str(workdir / "vocab.txt")],
+                    ["compare", "--config", str(workdir / "config.json"),
+                     "--modes", "mlm,cp-l", "--seeds", "1", "--steps", "2"]):
+        rc = cli.main(command + ["--intervals", "3:8,16", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'16'" in err and "lo:hi" in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
