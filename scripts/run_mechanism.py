@@ -2,111 +2,59 @@
 """A/B the hinged length-adaptive penalty against plain MLM on the
 two-regime generated corpus, reporting length-sliced entropy and ECE.
 
-The corpus makes the mechanism visible at desk scale: short paragraphs
-carry an answer slot that is irreducibly an 8-way coin flip (a calibrated
-model holds ~ln 8 = 2.08 nats there, just above the hinge threshold
-2(1 - 4/128) = 1.94), while long paragraphs are deterministic and pool to
-r ~ 1 where the threshold is near zero. Plain MLM memorizes the sampled
-slot noise and goes overconfident on held-out short inputs; the penalty
-blocks exactly that without disturbing the long regime.
+Short paragraphs carry an 8-way answer slot (a calibrated model holds
+~ln 8 = 2.08 nats there, just above the hinge threshold 2(1 - 4/128) = 1.94);
+long ones are deterministic and sit at r ~ 1, where the threshold is near
+zero. Plain MLM memorizes the slot noise and goes overconfident on held-out
+short inputs; the penalty blocks that and leaves the long regime alone.
 
     python3 scripts/run_mechanism.py --seeds 1,2,3 --out /tmp/mechanism
 
-Per seed the training corpus is drawn at that seed and evaluation uses an
-independent draw (long paragraphs identical, short slot assignments
-resampled). Runtime is roughly a minute per (mode, seed) member.
+Each seed trains on its own corpus draw and is scored on an independent one.
+Members run through ``lenreg.compare.run_members`` in up to
+``LENREG_THREADS`` threads, roughly a minute each; ``--out`` receives
+``compare.csv`` and ``compare.json``.
 """
 
 import argparse
-import csv
-import dataclasses
 import sys
-import time
 from pathlib import Path
 
-from lenreg.calibration import default_intervals, evaluate
-from lenreg.corpus import build_vocab, encode, ingest
-from lenreg.encoder import preset_config
-from lenreg.losses import Mode, RegularizerConfig
-from lenreg.synthetic import MarkovSpec, generate_corpus
-from lenreg.trainer import preset_train_config, train
-
-SPEC = MarkovSpec(n_topics=64, per_topic=4, n_long=56, n_keys=8)
-MAXLEN = 128
-EVAL_SEED_OFFSET = 1000
-PER_INTERVAL_N = 200
-
-
-def run_member(mode: Mode, seed: int, steps: int, tr, ev, vocab, beta: float) -> dict:
-    model_cfg = preset_config("nano", vocab_size=vocab.size, seed=seed, dropout_p=0.0)
-    train_cfg = dataclasses.replace(
-        preset_train_config("nano", seed=seed),
-        total_steps=steps, warmup_steps=min(100, steps - 1), peak_lr=1e-3,
-        log_every=steps,
-        regularizer=RegularizerConfig(mode=mode, beta=beta),
-    )
-    result = train(model_cfg, train_cfg, tr, vocab, None)
-    scored = evaluate(result.params, ev, vocab, default_intervals(MAXLEN),
-                      per_interval_n=PER_INTERVAL_N, seed=seed)
-    short_ent, _, long_ent = scored.profile.intervals
-    short_report, _, long_report = scored.reports
-    return {
-        "mode": mode.value,
-        "seed": seed,
-        "final_loss": result.history[-1].total,
-        "short_entropy": short_ent.mean,
-        "long_entropy": long_ent.mean,
-        "short_ece": short_report.ece,
-        "long_ece": long_report.ece,
-    }
+from lenreg import calibration, cli, compare
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seed list")
+    ap.add_argument("--seeds", type=cli.seed_list, default=[1, 2, 3, 4, 5],
+                    help="comma-separated seed list")
     ap.add_argument("--steps", type=int, default=2000)
     ap.add_argument("--beta", type=float, default=2.0)
-    ap.add_argument("--out", help="directory for mechanism.csv (optional)")
+    ap.add_argument("--out", help="directory for compare.csv and compare.json (optional)")
     args = ap.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = args.seeds
+    try:
+        workers = compare.workers_from_env()
+    except ValueError as e:
+        ap.error(str(e))
 
-    rows = []
-    wins = {"short_entropy_up": 0, "short_ece_down": 0, "long_entropy_close": 0}
-    for seed in seeds:
-        t0 = time.time()
-        train_units = ingest(generate_corpus(SPEC, seed=seed))
-        eval_units = ingest(generate_corpus(SPEC, seed=EVAL_SEED_OFFSET + seed))
-        vocab = build_vocab(train_units, 8192)
-        tr = [encode(u, vocab, MAXLEN) for u in train_units]
-        ev = [encode(u, vocab, MAXLEN) for u in eval_units]
-        plain = run_member(Mode.MLM, seed, args.steps, tr, ev, vocab, args.beta)
-        hinged = run_member(Mode.CP_L, seed, args.steps, tr, ev, vocab, args.beta)
-        rows += [plain, hinged]
-        wins["short_entropy_up"] += hinged["short_entropy"] > plain["short_entropy"]
-        wins["short_ece_down"] += hinged["short_ece"] <= plain["short_ece"]
-        wins["long_entropy_close"] += (
-            abs(hinged["long_entropy"] - plain["long_entropy"]) <= 0.2)
-        print(f"seed {seed} ({time.time() - t0:.0f}s): "
-              f"short entropy {plain['short_entropy']:.3f} -> {hinged['short_entropy']:.3f} | "
-              f"short ece {plain['short_ece']:.3f} -> {hinged['short_ece']:.3f} | "
-              f"long entropy {plain['long_entropy']:.3f} vs {hinged['long_entropy']:.3f}",
-              flush=True)
-
-    n = len(seeds)
-    print(f"over {n} paired seeds: higher short entropy {wins['short_entropy_up']}/{n}, "
-          f"short ECE at or below {wins['short_ece_down']}/{n}, "
-          f"long entropies within 0.2 nats {wins['long_entropy_close']}/{n}")
-
+    modes = ["mlm", "cp-l"]
+    inputs = {s: compare.mechanism_inputs(s) for s in seeds}
+    configs = {(m, s): cli.resolve_config({"model": {"dropout_p": 0.0}}, inputs[s].vocab.size,
+                                          mode=m, seed=s, preset="nano", steps=args.steps,
+                                          beta=args.beta)
+               for m in modes for s in seeds}
+    intervals = calibration.default_intervals(compare.MECHANISM_MAXLEN)
+    rows, failures = compare.run_members(modes, seeds, configs, inputs, intervals,
+                                         compare.MECHANISM_PER_INTERVAL_N, workers=workers)
+    for line in failures:
+        print(f"FAILED member: {line}", file=sys.stderr)
+    print(compare.mechanism_verdict(rows, intervals))
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "mechanism.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            w.writeheader()
-            w.writerows(rows)
-        print(f"wrote {path}")
-    return 0
+        outputs = calibration.write_compare(out_dir, modes, seeds, intervals, rows, failures)
+        print(f"wrote {outputs[0]}")
+    return 3 if failures else 0
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ __all__ = [
     "IntervalEntropy", "EntropyProfile", "Evaluation", "ece", "default_intervals",
     "interval_label", "interval_labels", "collect_predictions", "entropy_profile",
     "evaluate", "write_report_json", "write_report_csv", "write_reliability_csv",
-    "compare_row", "write_compare_csv", "write_compare_json",
+    "compare_row", "write_compare",
 ]
 
 FORMAT_VERSION = 1
@@ -122,12 +122,14 @@ def ece(samples, n_bins: int = DEFAULT_BINS, interval_label: str = "") -> Calibr
 
 
 def default_intervals(maxlen: int) -> list[tuple[int, int]]:
-    """Length intervals scaled from the canonical maxlen-512 slicing."""
-    if maxlen < len(_CANONICAL_EDGES):
-        raise ValueError(f"maxlen {maxlen} too small for length slicing")
+    """Length intervals scaled from the canonical maxlen-512 slicing.
+
+    Below maxlen 26 the first edge rounds to 0, so there are no defaults.
+    """
     scaled = [math.floor(e * maxlen / _CANONICAL_MAXLEN + 0.5) for e in _CANONICAL_EDGES]
-    if len(set(scaled)) != len(scaled):
-        raise ValueError(f"maxlen {maxlen} collapses the default intervals")
+    if scaled[0] < 1:
+        raise ValueError(f"maxlen {maxlen} is too small for the default length intervals; "
+                         f"give them with --intervals")
     return [(scaled[i], scaled[i + 1]) for i in range(len(scaled) - 1)]
 
 
@@ -382,8 +384,10 @@ def _compare_wins(modes, seeds, labels, rows) -> dict[str, dict[str, int]]:
     return wins
 
 
-def write_compare_csv(path, modes, seeds, intervals, rows) -> None:
-    """``rows`` holds one ``compare_row`` or None (failed) per member, mode-major."""
+def write_compare(out_dir, modes, seeds, intervals, rows, failures) -> tuple[Path, Path]:
+    """Write ``compare.csv`` and ``compare.json`` into ``out_dir`` and return
+    their paths. ``rows`` holds one ``compare_row`` or None (failed) per
+    member, mode-major."""
     labels = interval_labels(intervals)
     metric_cols = [f"ece {lb}" for lb in labels] + [f"entropy {lb}" for lb in labels]
 
@@ -391,7 +395,8 @@ def write_compare_csv(path, modes, seeds, intervals, rows) -> None:
         return [repr(row[c]) if row[c] is not None else "" for c in metric_cols]
 
     wins = _compare_wins(modes, seeds, labels, rows)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    csv_path, json_path = Path(out_dir) / "compare.csv", Path(out_dir) / "compare.json"
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["format_version", "mode", "seed", "final_loss"] + metric_cols)
         # Block slicing (members are mode-major) keeps a mode listed twice
@@ -414,14 +419,10 @@ def write_compare_csv(path, modes, seeds, intervals, rows) -> None:
         for m in modes:
             w.writerow([FORMAT_VERSION, m, "wins", ""]
                        + [wins[m][lb] for lb in labels] + [""] * len(labels))
-
-
-def write_compare_json(path, modes, seeds, intervals, rows, failures) -> None:
-    labels = interval_labels(intervals)
     doc = {
         "format_version": FORMAT_VERSION, "kind": "compare_report",
         "modes": modes, "seeds": seeds, "intervals": labels,
-        "rows": [r for r in rows if r is not None],
-        "wins": _compare_wins(modes, seeds, labels, rows), "failures": failures,
+        "rows": [r for r in rows if r is not None], "wins": wins, "failures": failures,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    json_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return csv_path, json_path

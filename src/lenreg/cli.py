@@ -1,59 +1,50 @@
-"""Command-line interface.
-
-Subcommands:
-
-    build-vocab   frequency-ranked vocabulary from a corpus file
-    gen-corpus    synthetic Markov corpus with a length-controlled slot
-    pretrain      train one model under a chosen objective
-    eval-ece      length-sliced ECE + entropy profile for a checkpoint
-    gradcheck     finite-difference audit of analytic gradients
-    compare       A/B training runs across modes and seeds
+"""Command-line interface: one subcommand per job, listed below.
 
 Every command that writes into an --out directory also writes exactly one
 ``manifest.json`` there (resolved config, seed, input/output hashes, wall
 clock); ``compare`` also writes one into each member's ``{mode}_seed{seed}``
 directory with that member's resolved model, train and regularizer config.
 Exit codes: 0 success, 1 usage or input error (including an unknown config
-section or ``data`` key), 2 numeric abort during training, 3 comparison
-finished with failed members.
+section or key), 2 numeric abort during training, 3 comparison finished
+with failed members.
 
 A ``--config`` file holds the sections ``data`` (``corpus``, ``vocab``,
-``eval_corpus``, ``min_length``), ``model``, ``train`` and ``regularizer``.
+``eval_corpus``, ``min_length``), ``model`` and ``train`` (the fields of
+``ModelConfig`` and ``TrainConfig``, plus ``preset``) and ``regularizer``
+(the fields of ``RegularizerConfig``); any other key exits 1.
 ``resolve_config`` applies the preset, then the file, then the flags, and
 rejects ``model.seed``, ``model.vocab_size`` and ``train.regularizer``, which
 it derives. ``pretrain`` and every ``compare`` member train on the corpus
 filtered by ``data.min_length``. ``compare`` reads every config and input
 once, before any member trains, so a bad one exits 1 without training.
 
-``LENREG_THREADS`` bounds worker parallelism in ``compare`` (default 1).
-A (mode, seed) pair listed more than once is trained once; each of its rows
-repeats that result.
+``compare`` trains its members in up to ``LENREG_THREADS`` threads (default
+1), which pays only with one BLAS thread per member (``OMP_NUM_THREADS=1
+OPENBLAS_NUM_THREADS=1``; README, "Determinism"). A (mode, seed) pair listed
+more than once is trained once; each of its rows repeats that result.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import datetime as _dt
-import enum
-import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from . import calibration, corpus, losses, synthetic, trainer
+from . import calibration, compare, corpus, losses, synthetic, trainer
 from .checkpoint import load_params
 from .encoder import MODEL_PRESETS, ModelConfig
 from .trainer import TRAIN_PRESETS, NonFiniteLossError
 
-MANIFEST_VERSION = 1
-CONFIG_SECTIONS = ("data", "model", "train", "regularizer")
-DATA_KEYS = ("corpus", "vocab", "eval_corpus", "min_length")
+# The keys each config section may hold; ``preset`` names a preset table entry.
+SECTION_KEYS = {
+    "data": ("corpus", "vocab", "eval_corpus", "min_length"),
+    "model": ("preset", *(f.name for f in dataclasses.fields(ModelConfig))),
+    "train": ("preset", *(f.name for f in dataclasses.fields(trainer.TrainConfig))),
+    "regularizer": tuple(f.name for f in dataclasses.fields(losses.RegularizerConfig)),
+}
 # --preset names both a model and a train preset.
 RUN_PRESETS = sorted(set(MODEL_PRESETS) & set(TRAIN_PRESETS))
 # Config keys the resolver derives, each with where its value comes from.
@@ -68,44 +59,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, Path):
-        return str(obj)
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def _write_manifest(out_dir: Path, command: str, config_doc, seed, inputs, outputs, t0, t1) -> None:
-    doc = {
-        "format_version": MANIFEST_VERSION,
-        "command": command,
-        "config": _jsonable(config_doc),
-        "seed": seed,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
-        "started_utc": _dt.datetime.fromtimestamp(t0, _dt.timezone.utc).isoformat(),
-        "duration_seconds": round(t1 - t0, 3),
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
@@ -113,16 +66,16 @@ def _load_config_file(path) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    for key, section in doc.items():
-        if key not in CONFIG_SECTIONS:
-            raise ValueError(f"{path}: unknown config section {key!r} "
-                             f"(expected one of {', '.join(CONFIG_SECTIONS)})")
+    for name, section in doc.items():
+        if name not in SECTION_KEYS:
+            raise ValueError(f"{path}: unknown config section {name!r} "
+                             f"(expected one of {', '.join(SECTION_KEYS)})")
         if not isinstance(section, dict):
-            raise ValueError(f"{path}: config section {key!r} must be a JSON object")
-    for key in doc.get("data", {}):
-        if key not in DATA_KEYS:
-            raise ValueError(f"{path}: unknown data key {key!r} "
-                             f"(expected one of {', '.join(DATA_KEYS)})")
+            raise ValueError(f"{path}: config section {name!r} must be a JSON object")
+        for key in section:
+            if key not in SECTION_KEYS[name]:
+                raise ValueError(f"{path}: unknown {name} key {key!r} "
+                                 f"(expected one of {', '.join(SECTION_KEYS[name])})")
     return doc
 
 
@@ -136,6 +89,11 @@ def _parse_intervals(text: str) -> list[tuple[int, int]]:
             raise ValueError(f"--intervals entry {part!r} is not of the form lo:hi "
                              f"(two integers, e.g. 10:50)") from None
     return out
+
+
+def seed_list(text: str) -> list[int]:
+    """The ``--seeds`` type: comma-separated integers (argparse names the flag on error)."""
+    return [int(s) for s in text.split(",") if s.strip()]
 
 
 def _preset_fields(cfg_doc: dict, section: str, preset, table: dict) -> dict:
@@ -186,8 +144,8 @@ def cmd_build_vocab(args) -> int:
     vocab = corpus.build_vocab(units, args.size)
     vocab_path = out_dir / "vocab.txt"
     vocab.save(vocab_path)
-    _write_manifest(out_dir, "build-vocab", {"size": args.size}, None,
-                    [args.corpus], [vocab_path], t0, time.time())
+    compare.write_manifest(out_dir, "build-vocab", {"size": args.size}, None,
+                           [args.corpus], [vocab_path], t0, time.time())
     print(f"vocab: {vocab.size} ids ({len(vocab.tokens)} tokens + 5 reserved) -> {vocab_path}")
     return 0
 
@@ -204,7 +162,7 @@ def cmd_gen_corpus(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "corpus.txt"
     synthetic.write_corpus(path, spec, args.seed)
-    _write_manifest(out_dir, "gen-corpus", spec, args.seed, [], [path], t0, time.time())
+    compare.write_manifest(out_dir, "gen-corpus", spec, args.seed, [], [path], t0, time.time())
     print(f"wrote {spec.n_short} short + {spec.n_long} long paragraphs -> {path}")
     return 0
 
@@ -224,7 +182,7 @@ def cmd_pretrain(args) -> int:
     out_dir = Path(args.out)
     result = trainer.train(model_cfg, train_cfg, sequences, vocab, out_dir)
     last = result.history[-1]
-    _write_manifest(
+    compare.write_manifest(
         out_dir, "pretrain",
         {"model": model_cfg, "train": train_cfg, "regularizer": result.regularizer},
         train_cfg.seed, [corpus_path, vocab_path],
@@ -257,9 +215,9 @@ def cmd_eval_ece(args) -> int:
     calibration.write_report_json(json_path, ev.intervals, ev.reports, ev.profile, meta)
     calibration.write_report_csv(csv_path, ev.intervals, ev.reports, ev.profile)
     calibration.write_reliability_csv(rel_path, ev.intervals, ev.reports)
-    _write_manifest(out_dir, "eval-ece", meta, args.seed,
-                    [args.checkpoint, args.corpus, args.vocab],
-                    [json_path, csv_path, rel_path], t0, time.time())
+    compare.write_manifest(out_dir, "eval-ece", meta, args.seed,
+                           [args.checkpoint, args.corpus, args.vocab],
+                           [json_path, csv_path, rel_path], t0, time.time())
     for label, rep in zip(ev.labels, ev.reports):
         if rep is None:
             print(f"{label}: empty")
@@ -283,74 +241,46 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
-def _compare_member(*, mode, seed, model_cfg, train_cfg, sequences, eval_sequences, vocab,
-                    run_dir: Path, inputs: list, eval_meta: dict) -> dict:
-    t0 = time.time()
-    result = trainer.train(model_cfg, train_cfg, sequences, vocab, run_dir)
-    ev = calibration.evaluate(result.params, eval_sequences, vocab, eval_meta["intervals"],
-                              eval_meta["per_interval_n"], eval_meta["n_bins"], seed)
-    _write_manifest(run_dir, "compare-member",
-                    {"model": model_cfg, "train": train_cfg, "regularizer": result.regularizer,
-                     "eval": {**eval_meta, "seed": seed}},
-                    seed, inputs, [result.checkpoint_path, result.log_path], t0, time.time())
-    return calibration.compare_row(mode, seed, result.history[-1].total, ev)
-
-
 def cmd_compare(args) -> int:
     t0 = time.time()
+    workers = compare.workers_from_env()
     cfg_doc = _load_config_file(args.config)
     corpus_path = _data_path(cfg_doc, args, "corpus")
     vocab_path = _data_path(cfg_doc, args, "vocab")
     eval_path = _data_path(cfg_doc, args, "eval_corpus", default=corpus_path)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = args.seeds
     if len(modes) < 2 or not seeds:
         raise ValueError("compare needs at least two modes and one seed")
-    # Members differ only in mode and seed, so they share one maxlen and one read of each
-    # input, all before any trains. A repeated (mode, seed) names one run dir: train it once.
+    # Members differ only in mode and seed, so they share one maxlen and one
+    # read of each input, all before any trains.
     vocab = corpus.Vocab.load(vocab_path)
-    members = [(m, s) for m in modes for s in seeds]
     configs = {(m, s): resolve_config(cfg_doc, vocab.size, mode=m, seed=s,
                                       preset=args.preset, steps=args.steps)
-               for (m, s) in dict.fromkeys(members)}
-    maxlen = configs[members[0]][0].maxlen
+               for m in modes for s in seeds}
+    maxlen = configs[(modes[0], seeds[0])][0].maxlen
+    shared = compare.SeedInputs(
+        vocab,
+        corpus.load_corpus(corpus_path, vocab, maxlen, cfg_doc.get("data", {}).get("min_length")),
+        corpus.load_corpus(eval_path, vocab, maxlen))
     intervals = (_parse_intervals(args.intervals) if args.intervals
                  else calibration.default_intervals(maxlen))
-    sequences = corpus.load_corpus(corpus_path, vocab, maxlen,
-                                   cfg_doc.get("data", {}).get("min_length"))
-    eval_sequences = corpus.load_corpus(eval_path, vocab, maxlen)
-    eval_meta = {"intervals": intervals, "per_interval_n": args.n_per_interval, "n_bins": args.bins}
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs = [corpus_path, vocab_path, eval_path]
-    rows: list[dict | None] = [None] * len(members)
-    failures: list[str] = []
-    with ThreadPoolExecutor(max_workers=max(1, int(os.environ.get("LENREG_THREADS", "1")))) as pool:
-        futures = {
-            (m, s): pool.submit(
-                _compare_member, mode=m, seed=s, model_cfg=model_cfg, train_cfg=train_cfg,
-                sequences=sequences, eval_sequences=eval_sequences, vocab=vocab,
-                run_dir=out_dir / f"{m}_seed{s}", inputs=inputs, eval_meta=eval_meta)
-            for (m, s), (model_cfg, train_cfg) in configs.items()
-        }
-        for i, (m, s) in enumerate(members):
-            try:
-                rows[i] = futures[(m, s)].result()
-            except Exception as e:  # keep the table; note the failure
-                failures.append(f"{m} seed {s}: {e}")
+    rows, failures = compare.run_members(
+        modes, seeds, configs, dict.fromkeys(seeds, shared), intervals, args.n_per_interval,
+        args.bins, workers=workers, out_dir=out_dir, manifest_inputs=inputs)
 
-    csv_path = out_dir / "compare.csv"
-    json_path = out_dir / "compare.json"
-    calibration.write_compare_csv(csv_path, modes, seeds, intervals, rows)
-    calibration.write_compare_json(json_path, modes, seeds, intervals, rows, failures)
-    _write_manifest(out_dir, "compare",
-                    {"modes": modes, "seeds": seeds,
-                     "train": {"preset": args.preset, "steps": args.steps}},
-                    seeds, inputs, [csv_path, json_path], t0, time.time())
+    outputs = calibration.write_compare(out_dir, modes, seeds, intervals, rows, failures)
+    compare.write_manifest(out_dir, "compare",
+                           {"modes": modes, "seeds": seeds,
+                            "train": {"preset": args.preset, "steps": args.steps}},
+                           seeds, inputs, outputs, t0, time.time())
     for line in failures:
         print(f"FAILED member: {line}", file=sys.stderr)
-    print(f"compare table -> {csv_path}")
+    print(f"compare table -> {outputs[0]}")
     return 3 if failures else 0
 
 
@@ -417,7 +347,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eval-corpus", dest="eval_corpus",
                    help="held-out corpus for calibration (defaults to --corpus)")
     p.add_argument("--modes", required=True, help="comma-separated mode list")
-    p.add_argument("--seeds", required=True, help="comma-separated seed list")
+    p.add_argument("--seeds", required=True, type=seed_list, help="comma-separated seed list")
     p.add_argument("--preset", choices=RUN_PRESETS)
     p.add_argument("--steps", type=int)
     p.add_argument("--intervals")

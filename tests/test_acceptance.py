@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from lenreg import gradcheck
-from lenreg.calibration import PredictionSample, default_intervals, ece, evaluate
+from lenreg.calibration import PredictionSample, default_intervals, ece
+from lenreg.cli import resolve_config
+from lenreg.compare import (MECHANISM_PER_INTERVAL_N, mechanism_inputs, mechanism_verdict,
+                            run_members)
 from lenreg.checkpoint import load_params
-from lenreg.corpus import MASK_ID, build_vocab, encode, group_by_length, ingest, mask_batch
+from lenreg.corpus import MASK_ID, build_vocab, encode, group_by_length, mask_batch
 from lenreg.encoder import forward, preset_config, tensor_names
 from lenreg.losses import Mode, RegularizerConfig, batch_loss, kl_divergence, length_ratio
-from lenreg.synthetic import MarkovSpec, generate_corpus
 from lenreg.trainer import TrainConfig, preset_train_config, train
 
 from conftest import make_batch, rng_of
@@ -242,38 +244,22 @@ def test_c07_desk_scale_training_progress(markov_sequences, markov_vocab):
 #    threshold is near zero, so both objectives should converge together.
 #    Evaluation uses a held-out draw: long units identical, short-unit
 #    slot assignments resampled.
-def _mechanism_metrics(mode, seed, tr_seqs, ev_seqs, vocab, **reg_kw):
-    mc = preset_config("nano", vocab_size=vocab.size, seed=seed, dropout_p=0.0)
-    tc = dataclasses.replace(
-        preset_train_config("nano", seed=seed),
-        total_steps=2000, warmup_steps=100, peak_lr=1e-3, log_every=2000,
-        regularizer=RegularizerConfig(mode=mode, **reg_kw))
-    res = train(mc, tc, tr_seqs, vocab, None)
-    scored = evaluate(res.params, ev_seqs, vocab, default_intervals(128),
-                      per_interval_n=200, seed=seed)
-    short_ent, _, long_ent = scored.profile.intervals
-    return (short_ent.mean, long_ent.mean, scored.reports[0].ece)
-
-
 @pytest.mark.slow
 def test_c08_mechanism_directional_wins():
-    spec = MarkovSpec(n_topics=64, per_topic=4, n_long=56, n_keys=8)
-    wins_short_entropy = wins_short_ece = wins_long_close = 0
-    for seed in (1, 2, 3, 4, 5):
-        train_units = ingest(generate_corpus(spec, seed=seed))
-        eval_units = ingest(generate_corpus(spec, seed=1000 + seed))
-        vocab = build_vocab(train_units, 8192)
-        tr = [encode(u, vocab, 128) for u in train_units]
-        ev = [encode(u, vocab, 128) for u in eval_units]
-        m_ent, m_long, m_ece = _mechanism_metrics(Mode.MLM, seed, tr, ev, vocab)
-        c_ent, c_long, c_ece = _mechanism_metrics(Mode.CP_L, seed, tr, ev, vocab,
-                                                  beta=2.0)
-        wins_short_entropy += c_ent > m_ent
-        wins_short_ece += c_ece <= m_ece
-        wins_long_close += abs(c_long - m_long) <= 0.2
-    assert wins_short_entropy >= 4
-    assert wins_short_ece >= 3
-    assert wins_long_close >= 3
+    seeds = (1, 2, 3, 4, 5)
+    modes = ["mlm", "cp-l"]
+    inputs = {s: mechanism_inputs(s) for s in seeds}
+    configs = {(m, s): resolve_config({"model": {"dropout_p": 0.0}}, inputs[s].vocab.size,
+                                      mode=m, seed=s, preset="nano", steps=2000, beta=2.0)
+               for m in modes for s in seeds}
+    intervals = default_intervals(128)
+    rows, failures = run_members(modes, seeds, configs, inputs, intervals,
+                                 MECHANISM_PER_INTERVAL_N)
+    assert failures == []
+    verdict = mechanism_verdict(rows, intervals)
+    assert verdict.short_entropy_up >= 4
+    assert verdict.short_ece_at_or_below >= 3
+    assert verdict.long_entropy_close >= 3
 
 
 # 9. Checkpoint round-trip reproduces eval-mode logits bitwise.

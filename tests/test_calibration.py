@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lenreg.calibration import (
     CalibrationReport,
     PredictionSample,
+    _validate_intervals,
     collect_predictions,
     default_intervals,
     ece,
@@ -170,6 +171,18 @@ def test_default_intervals_scaling():
     assert default_intervals(256) == [(5, 25), (25, 100), (100, 256)]
     with pytest.raises(ValueError):
         default_intervals(3)
+
+
+@pytest.mark.parametrize("maxlen", range(4, 513))
+def test_default_intervals_are_valid_or_rejected(maxlen):
+    # Defaults that exist must pass the same check evaluate() applies after training.
+    try:
+        intervals = default_intervals(maxlen)
+    except ValueError as e:
+        assert maxlen < 26
+        assert f"maxlen {maxlen}" in str(e) and "--intervals" in str(e)
+    else:
+        assert _validate_intervals(intervals) == intervals
 
 
 def test_interval_label_convention():

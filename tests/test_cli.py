@@ -413,6 +413,9 @@ def test_compare_repeated_mode_trains_once(workdir, tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize("doc, key", [
     ({"trian": {"total_steps": 2}}, "'trian'"),
     ({"data": {"corpus_path": "x.txt"}}, "'corpus_path'"),
+    ({"model": {"foo": 1}}, "unknown model key 'foo'"),
+    ({"train": {"lr": 1e-3}}, "unknown train key 'lr'"),
+    ({"regularizer": {"gamma": 0.5}}, "unknown regularizer key 'gamma'"),
 ])
 def test_unknown_config_key_is_exit_1(workdir, tmp_path, capsys, doc, key):
     cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
@@ -516,5 +519,36 @@ def test_malformed_intervals_entry_is_exit_1(workdir, pretrain_run, tmp_path, mo
         assert rc == 1
         err = capsys.readouterr().err
         assert "'16'" in err and "lo:hi" in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_without_default_intervals_exits_before_training(workdir, tmp_path,
+                                                                 monkeypatch, capsys):
+    # The toy config's maxlen 16 has no default intervals.
+    calls = _train_spy(monkeypatch)
+    out = tmp_path / "cmp"
+    rc = cli.main(["compare", "--config", str(workdir / "config.json"), "--modes", "mlm,cp-l",
+                   "--seeds", "1", "--steps", "2", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "maxlen 16" in err and "--intervals" in err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds, threads, named", [
+    ("1,x", "1", "argument --seeds: invalid seed_list value: '1,x'"),
+    ("1", "x", "LENREG_THREADS must be an integer, got 'x'"),
+], ids=["seeds", "threads"])
+def test_compare_bad_seeds_or_threads_is_exit_1(compare_args, tmp_path, monkeypatch, capsys,
+                                                seeds, threads, named):
+    calls = _train_spy(monkeypatch)
+    monkeypatch.setenv("LENREG_THREADS", threads)
+    args = list(compare_args)
+    args[args.index("--seeds") + 1] = seeds
+    rc = cli.main(args + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert named in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "out").exists()
