@@ -37,7 +37,7 @@ def main() -> int:
     except ValueError as e:
         ap.error(str(e))
 
-    modes = ["mlm", "cp-l"]
+    modes = list(compare.MECHANISM_MODES)
     inputs = {s: compare.mechanism_inputs(s) for s in seeds}
     configs = {(m, s): cli.resolve_config({"model": {"dropout_p": 0.0}}, inputs[s].vocab.size,
                                           mode=m, seed=s, preset="nano", steps=args.steps,
@@ -48,7 +48,10 @@ def main() -> int:
                                          compare.MECHANISM_PER_INTERVAL_N, workers=workers)
     for line in failures:
         print(f"FAILED member: {line}", file=sys.stderr)
-    print(compare.mechanism_verdict(rows, intervals))
+    n, entropy_up, ece_ok, long_close = compare.mechanism_verdict(rows, intervals)
+    print(f"over {n} paired seeds: higher short entropy {entropy_up}/{n}, short ECE at or "
+          f"below {ece_ok}/{n}, long entropies within {compare.LONG_ENTROPY_CLOSE_NATS} nats "
+          f"{long_close}/{n}")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

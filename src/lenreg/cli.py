@@ -1,4 +1,4 @@
-"""Command-line interface: one subcommand per job, listed below.
+"""Command-line interface; ``lenreg --help`` lists the subcommands.
 
 Every command that writes into an --out directory also writes exactly one
 ``manifest.json`` there (resolved config, seed, input/output hashes, wall
@@ -36,6 +36,7 @@ from pathlib import Path
 from . import calibration, compare, corpus, losses, synthetic, trainer
 from .checkpoint import load_params
 from .encoder import MODEL_PRESETS, ModelConfig
+from .manifest import write_manifest
 from .trainer import TRAIN_PRESETS, NonFiniteLossError
 
 # The keys each config section may hold; ``preset`` names a preset table entry.
@@ -144,8 +145,8 @@ def cmd_build_vocab(args) -> int:
     vocab = corpus.build_vocab(units, args.size)
     vocab_path = out_dir / "vocab.txt"
     vocab.save(vocab_path)
-    compare.write_manifest(out_dir, "build-vocab", {"size": args.size}, None,
-                           [args.corpus], [vocab_path], t0, time.time())
+    write_manifest(out_dir, "build-vocab", {"size": args.size}, None,
+                   [args.corpus], [vocab_path], t0, time.time())
     print(f"vocab: {vocab.size} ids ({len(vocab.tokens)} tokens + 5 reserved) -> {vocab_path}")
     return 0
 
@@ -162,7 +163,7 @@ def cmd_gen_corpus(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "corpus.txt"
     synthetic.write_corpus(path, spec, args.seed)
-    compare.write_manifest(out_dir, "gen-corpus", spec, args.seed, [], [path], t0, time.time())
+    write_manifest(out_dir, "gen-corpus", spec, args.seed, [], [path], t0, time.time())
     print(f"wrote {spec.n_short} short + {spec.n_long} long paragraphs -> {path}")
     return 0
 
@@ -182,7 +183,7 @@ def cmd_pretrain(args) -> int:
     out_dir = Path(args.out)
     result = trainer.train(model_cfg, train_cfg, sequences, vocab, out_dir)
     last = result.history[-1]
-    compare.write_manifest(
+    write_manifest(
         out_dir, "pretrain",
         {"model": model_cfg, "train": train_cfg, "regularizer": result.regularizer},
         train_cfg.seed, [corpus_path, vocab_path],
@@ -215,9 +216,9 @@ def cmd_eval_ece(args) -> int:
     calibration.write_report_json(json_path, ev.intervals, ev.reports, ev.profile, meta)
     calibration.write_report_csv(csv_path, ev.intervals, ev.reports, ev.profile)
     calibration.write_reliability_csv(rel_path, ev.intervals, ev.reports)
-    compare.write_manifest(out_dir, "eval-ece", meta, args.seed,
-                           [args.checkpoint, args.corpus, args.vocab],
-                           [json_path, csv_path, rel_path], t0, time.time())
+    write_manifest(out_dir, "eval-ece", meta, args.seed,
+                   [args.checkpoint, args.corpus, args.vocab],
+                   [json_path, csv_path, rel_path], t0, time.time())
     for label, rep in zip(ev.labels, ev.reports):
         if rep is None:
             print(f"{label}: empty")
@@ -274,10 +275,10 @@ def cmd_compare(args) -> int:
         args.bins, workers=workers, out_dir=out_dir, manifest_inputs=inputs)
 
     outputs = calibration.write_compare(out_dir, modes, seeds, intervals, rows, failures)
-    compare.write_manifest(out_dir, "compare",
-                           {"modes": modes, "seeds": seeds,
-                            "train": {"preset": args.preset, "steps": args.steps}},
-                           seeds, inputs, outputs, t0, time.time())
+    write_manifest(out_dir, "compare",
+                   {"modes": modes, "seeds": seeds,
+                    "train": {"preset": args.preset, "steps": args.steps}},
+                   seeds, inputs, outputs, t0, time.time())
     for line in failures:
         print(f"FAILED member: {line}", file=sys.stderr)
     print(f"compare table -> {outputs[0]}")

@@ -1,70 +1,26 @@
 """The A/B runner behind ``lenreg compare``, ``scripts/run_mechanism.py`` and
 test c08: train each (mode, seed) member, score it per length interval, and
-count the mechanism's directional wins. Also the run manifest writer.
+count the mechanism's directional wins.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import datetime as _dt
-import enum
-import hashlib
-import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from . import calibration, trainer
 from .corpus import TokenSequence, Vocab, build_vocab, encode, ingest
+from .manifest import write_manifest
 from .synthetic import MarkovSpec, generate_corpus
 
-MANIFEST_VERSION = 1
+MECHANISM_MODES = ("mlm", "cp-l")  # baseline, treatment
 MECHANISM_SPEC = MarkovSpec(n_topics=64, per_topic=4, n_long=56, n_keys=8)
 MECHANISM_MAXLEN = 128
 MECHANISM_PER_INTERVAL_N = 200
 LONG_ENTROPY_CLOSE_NATS = 0.2
-
-
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, Path):
-        return str(obj)
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def write_manifest(out_dir: Path, command: str, config_doc, seed, inputs, outputs, t0, t1) -> None:
-    doc = {
-        "format_version": MANIFEST_VERSION,
-        "command": command,
-        "config": _jsonable(config_doc),
-        "seed": seed,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
-        "started_utc": _dt.datetime.fromtimestamp(t0, _dt.timezone.utc).isoformat(),
-        "duration_seconds": round(t1 - t0, 3),
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def workers_from_env() -> int:
@@ -125,36 +81,21 @@ def run_members(modes, seeds, configs: dict, inputs: dict, intervals,
     return rows, failures
 
 
-class MechanismVerdict(NamedTuple):
-    seeds: int
-    short_entropy_up: int
-    short_ece_at_or_below: int
-    long_entropy_close: int
-
-    def __str__(self) -> str:
-        n = self.seeds
-        return (f"over {n} paired seeds: higher short entropy {self.short_entropy_up}/{n}, "
-                f"short ECE at or below {self.short_ece_at_or_below}/{n}, long entropies "
-                f"within {LONG_ENTROPY_CLOSE_NATS} nats {self.long_entropy_close}/{n}")
-
-
-def mechanism_verdict(rows, intervals, baseline="mlm", treatment="cp-l") -> MechanismVerdict:
-    """Over the seeds where both modes finished, count those where the
-    treatment's entropy on the first (short) interval is higher, its ECE there
-    is at or below the baseline's, and its entropy on the last (long) interval
-    is within ``LONG_ENTROPY_CLOSE_NATS`` of the baseline's."""
+def mechanism_verdict(rows, intervals) -> tuple[int, int, int, int]:
+    """Over the seeds where both ``MECHANISM_MODES`` finished, the number of
+    seeds, then the counts where cp-l's entropy on the first (short) interval
+    is higher than mlm's, its ECE there is at or below mlm's, and its entropy
+    on the last (long) interval is within ``LONG_ENTROPY_CLOSE_NATS`` of mlm's."""
     labels = calibration.interval_labels(intervals)
     short_h, short_ece, long_h = (f"entropy {labels[0]}", f"ece {labels[0]}",
                                   f"entropy {labels[-1]}")
+    baseline, treatment = MECHANISM_MODES
     done = {(r["mode"], r["seed"]): r for r in rows if r is not None}
     pairs = [(b, done[(treatment, s)]) for (m, s), b in done.items()
              if m == baseline and (treatment, s) in done]
-    return MechanismVerdict(
-        seeds=len(pairs),
-        short_entropy_up=sum(t[short_h] > b[short_h] for b, t in pairs),
-        short_ece_at_or_below=sum(t[short_ece] <= b[short_ece] for b, t in pairs),
-        long_entropy_close=sum(abs(t[long_h] - b[long_h]) <= LONG_ENTROPY_CLOSE_NATS
-                               for b, t in pairs))
+    return (len(pairs), sum(t[short_h] > b[short_h] for b, t in pairs),
+            sum(t[short_ece] <= b[short_ece] for b, t in pairs),
+            sum(abs(t[long_h] - b[long_h]) <= LONG_ENTROPY_CLOSE_NATS for b, t in pairs))
 
 
 def mechanism_inputs(seed: int) -> SeedInputs:

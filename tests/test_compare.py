@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from lenreg.compare import MechanismVerdict, mechanism_verdict
+from lenreg.compare import mechanism_verdict
 
 INTERVALS = [(3, 13), (13, 50), (50, 128)]
 
@@ -32,8 +32,8 @@ def test_mechanism_verdict_boundaries():
         # seed 5: no baseline row
         _row("cp-l", 5, 9.0, 0.0, 1.0),
     ]
-    assert mechanism_verdict(rows, INTERVALS) == MechanismVerdict(
-        seeds=3, short_entropy_up=1, short_ece_at_or_below=2, long_entropy_close=2)
+    # (paired seeds, short entropy up, short ECE at or below, long entropy close)
+    assert mechanism_verdict(rows, INTERVALS) == (3, 1, 2, 2)
 
 
 def test_run_mechanism_script_smoke(tmp_path):
